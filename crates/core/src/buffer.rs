@@ -297,6 +297,13 @@ impl TimeseriesBuffer {
         self.stats.clear();
     }
 
+    /// Heap slots the buffer holds (ring plus per-outcome aggregates), so
+    /// tests can check that released state really returned its memory.
+    #[cfg(test)]
+    pub(crate) fn heap_slots(&self) -> usize {
+        self.entries.capacity() + self.stats.capacity()
+    }
+
     /// Number of buffered steps (the window occupancy — at most the
     /// capacity for bounded buffers; see [`TimeseriesBuffer::total_steps`]
     /// for the paper's series length `i + 1`).

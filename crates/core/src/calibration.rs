@@ -111,7 +111,7 @@ impl CalibrationOptions {
 ///
 /// A fresh (default) scratch is always valid — every routine clears the
 /// buffers it reads before filling them, so no state leaks between steps,
-/// sessions, or models. Sessions and engine wave slots own one scratch
+/// sessions, or models. Sessions and engine wave workers own one scratch
 /// each; standalone callers create one next to their step loop.
 #[derive(Debug, Clone, Default)]
 pub struct ServingScratch {

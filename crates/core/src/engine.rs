@@ -29,10 +29,13 @@ use crate::adaptive::{adaptive_step_with_parts, AdaptiveConfig, AdaptiveState, D
 use crate::buffer::TimeseriesBuffer;
 use crate::calibration::ServingScratch;
 use crate::error::CoreError;
+use crate::sharded::splitmix64;
 use crate::tauw::{TauwStep, TimeseriesAwareWrapper};
 use crate::training::TrainingSeries;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher, RandomState};
 
 /// Identifier of one logical stream (one tracked object / user / camera).
 #[derive(
@@ -151,62 +154,272 @@ impl AdaptiveStreamStep {
 #[derive(Debug, Clone)]
 pub struct TauwEngine {
     wrapper: TimeseriesAwareWrapper,
-    streams: BTreeMap<StreamId, TimeseriesBuffer>,
-    /// Per-stream adaptive calibration state, populated lazily once
-    /// [`TauwEngine::enable_adaptation`] was called.
-    adaptive: BTreeMap<StreamId, AdaptiveState>,
+    /// Every live stream's serving state, in one dense table.
+    table: StreamTable,
     adaptive_config: Option<AdaptiveConfig>,
     buffer_capacity: Option<usize>,
     n_threads: Option<usize>,
-    /// Reusable per-wave scaffolding for the batched step paths (slot
-    /// pool, grouping order, scatter table) — hoisted onto the engine so
-    /// steady-state waves stop churning the allocator.
+    /// Reusable per-wave scaffolding for the batched step paths (grouping
+    /// order, worker ranges, per-worker scratch and output) — hoisted onto
+    /// the engine so steady-state waves stop churning the allocator.
     wave: WaveScratch,
 }
 
-/// One reusable unit of per-stream wave state. While a batch is in flight
-/// the slot owns the stream's detached fusion buffer (and adaptive state on
-/// the adaptive path), the batch positions assigned to the stream, the
-/// worker's [`ServingScratch`], and the output staging area. Slots persist
-/// on the engine across calls, so steady-state waves reuse every one of
-/// these allocations.
+/// One stream's serving state: its fusion buffer and, once the stream has
+/// served an adaptive step or had state imported, its adaptive state.
 #[derive(Debug, Clone)]
-struct WaveSlot {
+struct StreamEntry {
     stream: StreamId,
-    /// Batch positions assigned to this stream, in batch order.
-    positions: Vec<usize>,
-    /// The stream's fusion buffer, detached for the duration of the wave.
     buffer: TimeseriesBuffer,
-    /// The stream's adaptive state (adaptive waves only; `None` otherwise).
-    state: Option<AdaptiveState>,
-    /// The worker's reusable serving scratch.
-    scratch: ServingScratch,
-    /// Results in `positions` order, staged before the batch-order scatter.
-    output: Vec<TauwStep>,
+    adaptive: Option<AdaptiveState>,
 }
 
-impl WaveSlot {
-    fn empty() -> Self {
-        WaveSlot {
-            stream: StreamId(0),
-            positions: Vec::new(),
-            buffer: TimeseriesBuffer::with_capacity(0),
-            state: None,
-            scratch: ServingScratch::new(),
-            output: Vec::new(),
-        }
+impl StreamEntry {
+    /// The entry's buffer and adaptive state, the latter created from
+    /// `config` on first use.
+    fn adaptive_parts(
+        &mut self,
+        config: AdaptiveConfig,
+    ) -> Result<(&mut TimeseriesBuffer, &mut AdaptiveState), CoreError> {
+        let state = match self.adaptive.take() {
+            Some(state) => state,
+            None => AdaptiveState::new(config)?,
+        };
+        Ok((&mut self.buffer, self.adaptive.insert(state)))
     }
 }
 
-/// The engine's reusable wave scaffolding (see [`WaveSlot`]).
+/// The dense stream table: entries live in one `Vec`, an id index maps
+/// each live stream to its entry, and the entries of ended streams go on a
+/// free list that the next new stream reuses. Waves serve entries in
+/// place, so no stream state moves between the table and the workers.
+#[derive(Debug, Clone, Default)]
+struct StreamTable {
+    /// Live entries plus the vacated ones listed in `free`.
+    entries: Vec<StreamEntry>,
+    /// Live stream → its index in `entries`.
+    index: HashMap<StreamId, u32, IndexHashBuilder>,
+    /// Vacated entry indices; a vacated entry holds no heap state.
+    free: Vec<u32>,
+}
+
+impl StreamTable {
+    fn get(&self, stream: StreamId) -> Option<&StreamEntry> {
+        let &slot = self.index.get(&stream)?;
+        Some(&self.entries[slot as usize])
+    }
+
+    /// The table index of `stream`, creating an entry with a fresh buffer
+    /// (on a vacated index, if any) when the stream is new.
+    fn slot(&mut self, stream: StreamId, capacity: Option<usize>) -> usize {
+        match self.index.entry(stream) {
+            Entry::Occupied(e) => *e.get() as usize,
+            Entry::Vacant(e) => {
+                let entry = StreamEntry {
+                    stream,
+                    buffer: new_buffer(capacity),
+                    adaptive: None,
+                };
+                let slot = match self.free.pop() {
+                    Some(slot) => {
+                        self.entries[slot as usize] = entry;
+                        slot
+                    }
+                    None => {
+                        // 2^32 entries would take hundreds of GB of
+                        // buffers, far past any configured memory.
+                        let slot = u32::try_from(self.entries.len())
+                            .expect("stream table holds fewer than 2^32 entries");
+                        self.entries.push(entry);
+                        slot
+                    }
+                };
+                *e.insert(slot) as usize
+            }
+        }
+    }
+
+    fn entry_mut(&mut self, stream: StreamId, capacity: Option<usize>) -> &mut StreamEntry {
+        let slot = self.slot(stream, capacity);
+        &mut self.entries[slot]
+    }
+
+    /// Ends a stream: its entry drops its heap state at once and goes on
+    /// the free list. Returns whether the stream existed.
+    fn remove(&mut self, stream: StreamId) -> bool {
+        let Some(slot) = self.index.remove(&stream) else {
+            return false;
+        };
+        let entry = &mut self.entries[slot as usize];
+        entry.buffer = TimeseriesBuffer::new();
+        entry.adaptive = None;
+        self.free.push(slot);
+        true
+    }
+}
+
+/// The stream-index hash (the only place it is defined): the SplitMix64
+/// finalizer of the salted id. The salt keeps it independent of the shard
+/// hash: a shard's streams all share `splitmix64(id) % K`, so the unsalted
+/// finalizer would crowd them into `1/K` of the index's buckets (the index
+/// picks buckets from the low bits).
+fn index_hash(salt: u64, id: u64) -> u64 {
+    splitmix64(id ^ salt)
+}
+
+/// Builds the stream index's hashers. Stream ids come from outside the
+/// program, so each table draws its salt from std's [`RandomState`]: ids
+/// crafted to collide under one salt do not collide under another.
+/// Nothing depends on the index's iteration order
+/// ([`TauwEngine::stream_ids`] sorts).
+#[derive(Debug, Clone)]
+struct IndexHashBuilder(u64);
+
+impl Default for IndexHashBuilder {
+    fn default() -> Self {
+        IndexHashBuilder(RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for IndexHashBuilder {
+    type Hasher = IndexHasher;
+
+    fn build_hasher(&self) -> IndexHasher {
+        IndexHasher(self.0)
+    }
+}
+
+/// [`Hasher`] for the stream index, starting from the table's salt.
+/// [`StreamId`] hashes as one `u64`, which [`index_hash`] finalizes; the
+/// byte path exists for completeness.
+#[derive(Debug, Clone, Copy)]
+struct IndexHasher(u64);
+
+impl Hasher for IndexHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = index_hash(self.0, u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = index_hash(self.0, id);
+    }
+}
+
+/// The engine's reusable wave scaffolding.
 #[derive(Debug, Clone, Default)]
 struct WaveScratch {
-    /// Slot pool; the first `n_slots` entries of the current wave are live.
-    slots: Vec<WaveSlot>,
-    /// `(stream, batch position)` pairs, sorted to group by stream.
-    order: Vec<(StreamId, usize)>,
-    /// Batch-order scatter table.
-    results: Vec<Option<TauwStep>>,
+    /// One key per batch entry, `table index << 32 | batch position`,
+    /// sorted so each stream's steps form one run in batch order.
+    order: Vec<u64>,
+    /// Boundaries in `order` of the workers' ranges.
+    cuts: Vec<usize>,
+    /// Per-worker serving scratch and output staging; worker 0's scratch
+    /// also serves the single-step calls.
+    workers: Vec<WaveWorker>,
+}
+
+impl WaveScratch {
+    /// The serving scratch of the single-step paths.
+    fn single(&mut self) -> &mut ServingScratch {
+        if self.workers.is_empty() {
+            self.workers.push(WaveWorker::default());
+        }
+        &mut self.workers[0].scratch
+    }
+}
+
+#[derive(Debug, Clone, Default)]
+struct WaveWorker {
+    scratch: ServingScratch,
+    /// Results of the worker's range, in `order` sequence.
+    output: Vec<TauwStep>,
+}
+
+/// One worker's share of a wave: a contiguous range of the sorted order
+/// and the contiguous table range (starting at index `base`) it touches.
+struct WaveJob<'a> {
+    base: usize,
+    keys: &'a [u64],
+    entries: &'a mut [StreamEntry],
+    worker: &'a mut WaveWorker,
+}
+
+const POSITION_BITS: u32 = 32;
+const POSITION_MASK: u64 = (1 << POSITION_BITS) - 1;
+
+fn slot_of(key: u64) -> usize {
+    (key >> POSITION_BITS) as usize
+}
+
+fn position_of(key: u64) -> usize {
+    (key & POSITION_MASK) as usize
+}
+
+impl WaveJob<'_> {
+    /// Serves the job's steps in order. A failing stream skips its
+    /// remaining steps while the other streams carry on; the result is the
+    /// error of the lowest failing stream id.
+    fn run<S>(
+        &mut self,
+        wrapper: &TimeseriesAwareWrapper,
+        serve: &S,
+    ) -> Option<(StreamId, CoreError)>
+    where
+        S: Fn(
+            &TimeseriesAwareWrapper,
+            &mut StreamEntry,
+            &mut ServingScratch,
+            usize,
+        ) -> Result<TauwStep, CoreError>,
+    {
+        self.worker.output.clear();
+        let mut first_err: Option<(StreamId, CoreError)> = None;
+        let mut failed_slot = usize::MAX;
+        for &key in self.keys {
+            let slot = slot_of(key);
+            if slot == failed_slot {
+                continue;
+            }
+            let entry = &mut self.entries[slot - self.base];
+            match serve(wrapper, entry, &mut self.worker.scratch, position_of(key)) {
+                Ok(step) => self.worker.output.push(step),
+                Err(e) => {
+                    failed_slot = slot;
+                    if first_err.as_ref().is_none_or(|(id, _)| entry.stream < *id) {
+                        first_err = Some((entry.stream, e));
+                    }
+                }
+            }
+        }
+        first_err
+    }
+}
+
+/// Cuts the sorted `order` into at most `parts` contiguous ranges of about
+/// equal step count, never inside one stream's run. `cuts` receives the
+/// boundaries, from 0 to `order.len()`.
+fn partition(order: &[u64], parts: usize, cuts: &mut Vec<usize>) {
+    let n = order.len();
+    cuts.clear();
+    cuts.push(0);
+    let mut last = 0;
+    for r in 1..parts {
+        let mut at = (n * r / parts).max(last);
+        while at > 0 && at < n && slot_of(order[at]) == slot_of(order[at - 1]) {
+            at += 1;
+        }
+        if at > last && at < n {
+            cuts.push(at);
+            last = at;
+        }
+    }
+    cuts.push(n);
 }
 
 impl TauwEngine {
@@ -214,8 +427,7 @@ impl TauwEngine {
     pub fn new(wrapper: TimeseriesAwareWrapper) -> Self {
         TauwEngine {
             wrapper,
-            streams: BTreeMap::new(),
-            adaptive: BTreeMap::new(),
+            table: StreamTable::default(),
             adaptive_config: None,
             buffer_capacity: None,
             n_threads: None,
@@ -251,31 +463,34 @@ impl TauwEngine {
 
     /// Number of active streams.
     pub fn n_streams(&self) -> usize {
-        self.streams.len()
+        self.table.index.len()
     }
 
     /// Active stream ids in ascending order.
     pub fn stream_ids(&self) -> Vec<StreamId> {
-        self.streams.keys().copied().collect()
+        let mut ids: Vec<StreamId> = self.table.index.keys().copied().collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Steps currently buffered for a stream (the window occupancy for
     /// bounded buffers), or `None` if the stream is unknown. See
     /// [`TauwEngine::stream_total_steps`] for the lifetime series length.
     pub fn stream_len(&self, stream: StreamId) -> Option<usize> {
-        self.streams.get(&stream).map(TimeseriesBuffer::len)
+        self.stream_buffer(stream).map(TimeseriesBuffer::len)
     }
 
     /// Lifetime steps of the stream's current series (`i + 1`, which
     /// window eviction does not shrink), or `None` if the stream is
     /// unknown.
     pub fn stream_total_steps(&self, stream: StreamId) -> Option<u64> {
-        self.streams.get(&stream).map(TimeseriesBuffer::total_steps)
+        self.stream_buffer(stream)
+            .map(TimeseriesBuffer::total_steps)
     }
 
     /// Read access to a stream's buffer (diagnostics).
     pub fn stream_buffer(&self, stream: StreamId) -> Option<&TimeseriesBuffer> {
-        self.streams.get(&stream)
+        self.table.get(stream).map(|entry| &entry.buffer)
     }
 
     /// Clears a stream's buffer (tracking reported a new physical object on
@@ -289,50 +504,28 @@ impl TauwEngine {
     /// calibration state, if enabled, deliberately survives: drift is a
     /// property of the stream, not of the tracked object.
     pub fn begin_series(&mut self, stream: StreamId) {
-        let capacity = self.buffer_capacity;
-        self.streams
-            .entry(stream)
-            .and_modify(TimeseriesBuffer::clear)
-            .or_insert_with(|| new_buffer(capacity));
+        let known = self.table.index.contains_key(&stream);
+        let entry = self.table.entry_mut(stream, self.buffer_capacity);
+        if known {
+            entry.buffer.clear();
+        }
     }
 
     /// Removes a stream and its buffer entirely (the object left the scene
-    /// / the user disconnected), including any adaptive state, and shrinks
-    /// the wave slot pool so steady-state memory tracks the *live* stream
-    /// count rather than the historical peak. Returns whether the stream
+    /// / the user disconnected), including any adaptive state. The stream's
+    /// heap state is released at once and its table entry is reused by the
+    /// next new stream, so steady-state memory tracks the *live* stream
+    /// count rather than the historical total. Returns whether the stream
     /// existed.
     pub fn end_stream(&mut self, stream: StreamId) -> bool {
-        self.adaptive.remove(&stream);
-        let existed = self.streams.remove(&stream).is_some();
-        if existed {
-            self.shrink_wave_scratch();
-        }
-        existed
+        self.table.remove(stream)
     }
 
     /// Removes all streams (including their adaptive state) and releases
-    /// the wave scaffolding entirely.
+    /// the stream table and the wave scaffolding entirely.
     pub fn clear_streams(&mut self) {
-        self.streams.clear();
-        self.adaptive.clear();
-        self.shrink_wave_scratch();
-        // With no live streams there is nothing for the order/scatter
-        // buffers to amortize either; the next wave resizes them.
-        self.wave.order = Vec::new();
-        self.wave.results = Vec::new();
-    }
-
-    /// Releases wave-slot capacity held for streams that no longer exist.
-    /// The slot pool is sized by the largest number of distinct streams
-    /// ever touched in one wave; each retired [`WaveSlot`] frees its
-    /// positions/scratch/output buffers, so ending streams returns their
-    /// share of the pool to the allocator instead of pinning the peak.
-    fn shrink_wave_scratch(&mut self) {
-        let live = self.streams.len();
-        if self.wave.slots.len() > live {
-            self.wave.slots.truncate(live);
-            self.wave.slots.shrink_to_fit();
-        }
+        self.table = StreamTable::default();
+        self.wave = WaveScratch::default();
     }
 
     /// Exports a stream's complete self-contained runtime state (fusion
@@ -343,8 +536,8 @@ impl TauwEngine {
         &self,
         stream: StreamId,
     ) -> Option<(TimeseriesBuffer, Option<AdaptiveState>)> {
-        let buffer = self.streams.get(&stream)?.clone();
-        Some((buffer, self.adaptive.get(&stream).cloned()))
+        let entry = self.table.get(stream)?;
+        Some((entry.buffer.clone(), entry.adaptive.clone()))
     }
 
     /// Installs a stream's complete runtime state (the counterpart of
@@ -358,15 +551,9 @@ impl TauwEngine {
         buffer: TimeseriesBuffer,
         adaptive: Option<AdaptiveState>,
     ) {
-        self.streams.insert(stream, buffer);
-        match adaptive {
-            Some(state) => {
-                self.adaptive.insert(stream, state);
-            }
-            None => {
-                self.adaptive.remove(&stream);
-            }
-        }
+        let entry = self.table.entry_mut(stream, self.buffer_capacity);
+        entry.buffer = buffer;
+        entry.adaptive = adaptive;
     }
 
     /// Processes one timestep on one stream (created on first use).
@@ -384,13 +571,13 @@ impl TauwEngine {
         outcome: u32,
     ) -> Result<TauwStep, CoreError> {
         self.check_arity(quality_factors.len())?;
-        let capacity = self.buffer_capacity;
-        let buffer = self
-            .streams
-            .entry(stream)
-            .or_insert_with(|| new_buffer(capacity));
-        self.wrapper
-            .step_with_buffer(buffer, quality_factors, outcome)
+        let entry = self.table.entry_mut(stream, self.buffer_capacity);
+        self.wrapper.step_with_parts(
+            &mut entry.buffer,
+            self.wave.single(),
+            quality_factors,
+            outcome,
+        )
     }
 
     /// Processes a batch of steps spanning any number of streams,
@@ -447,108 +634,102 @@ impl TauwEngine {
         for i in 0..n {
             self.check_arity(get(i).1.len())?;
         }
-        let n_slots = self.build_wave_slots(n, |i| get(i).0);
-
-        let threads = self.n_threads.unwrap_or_else(parallel::max_threads).max(1);
-        let wrapper = &self.wrapper;
-        // Workers propagate errors instead of panicking: the arity
-        // precheck makes failure unreachable for well-formed wrappers, but
-        // an internally inconsistent model (e.g. a tampered persisted
-        // artifact) must surface as `Err`, not abort the process.
-        let per_slot: Vec<Result<(), CoreError>> =
-            parallel::par_map_mut(threads, &mut self.wave.slots[..n_slots], |slot| {
-                for &i in &slot.positions {
-                    let (_, quality_factors, outcome) = get(i);
-                    let step = wrapper.step_with_parts(
-                        &mut slot.buffer,
-                        &mut slot.scratch,
-                        quality_factors,
-                        outcome,
-                    )?;
-                    slot.output.push(step);
-                }
-                Ok(())
-            });
-        self.finish_wave(n, n_slots, per_slot)
+        self.serve_wave(
+            n,
+            |i| get(i).0,
+            |wrapper, entry, scratch, i| {
+                let (_, quality_factors, outcome) = get(i);
+                wrapper.step_with_parts(&mut entry.buffer, scratch, quality_factors, outcome)
+            },
+        )
     }
 
-    /// Groups a batch by stream into the reusable wave slots: the `order`
-    /// buffer collects `(stream, batch position)` pairs and sorts them
-    /// (positions are unique, so the unstable sort is deterministic,
-    /// preserves batch order within each stream via the position component,
-    /// and visits streams in ascending id order — exactly the old per-call
-    /// `BTreeMap` grouping, without its allocations). One slot per distinct
-    /// stream then detaches that stream's fusion buffer so a wave worker
-    /// owns its stream state. Returns the number of live slots.
-    fn build_wave_slots(&mut self, n: usize, stream_of: impl Fn(usize) -> StreamId) -> usize {
-        let order = &mut self.wave.order;
-        order.clear();
-        order.extend((0..n).map(|i| (stream_of(i), i)));
-        order.sort_unstable();
-
-        let capacity = self.buffer_capacity;
-        let slots = &mut self.wave.slots;
-        let mut n_slots = 0;
-        for &(stream, position) in order.iter() {
-            if n_slots == 0 || slots[n_slots - 1].stream != stream {
-                if n_slots == slots.len() {
-                    slots.push(WaveSlot::empty());
-                }
-                let slot = &mut slots[n_slots];
-                slot.stream = stream;
-                slot.positions.clear();
-                slot.output.clear();
-                slot.state = None;
-                slot.buffer = self
-                    .streams
-                    .remove(&stream)
-                    .unwrap_or_else(|| new_buffer(capacity));
-                n_slots += 1;
-            }
-            slots[n_slots - 1].positions.push(position);
-        }
-        n_slots
-    }
-
-    /// Reattaches every live slot's stream state (even on error), then
-    /// scatters the staged outputs back into batch order through the
-    /// reusable `results` table. Errors report the lowest affected stream
-    /// id (slots are in ascending stream order). The returned `Vec` is the
-    /// one allocation inherent to the `step_many` API.
-    fn finish_wave(
+    /// The wave core of both batched paths. It resolves every batch entry
+    /// to its table index (creating new streams), sorts the
+    /// `(table index, batch position)` keys so each stream's steps form
+    /// one run in batch order, and cuts them into at most `threads`
+    /// ranges balanced by step count. The table is split into matching
+    /// contiguous `&mut` ranges, so each worker serves its streams in
+    /// place through `serve(wrapper, entry, scratch, position)`; the
+    /// results are then scattered back to batch order. Errors report the
+    /// lowest failing stream id. The returned `Vec` is the one allocation
+    /// inherent to the `step_many` API.
+    fn serve_wave<S>(
         &mut self,
         n: usize,
-        n_slots: usize,
-        per_slot: Vec<Result<(), CoreError>>,
-    ) -> Result<Vec<TauwStep>, CoreError> {
-        let results = &mut self.wave.results;
-        results.clear();
-        results.resize(n, None);
-        let mut first_err: Option<CoreError> = None;
-        for (slot, outcome) in self.wave.slots[..n_slots].iter_mut().zip(per_slot) {
-            let buffer = std::mem::replace(&mut slot.buffer, TimeseriesBuffer::with_capacity(0));
-            self.streams.insert(slot.stream, buffer);
-            if let Some(state) = slot.state.take() {
-                self.adaptive.insert(slot.stream, state);
-            }
-            match outcome {
-                Ok(()) => {
-                    for (&i, &step) in slot.positions.iter().zip(&slot.output) {
-                        results[i] = Some(step);
-                    }
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
+        stream_of: impl Fn(usize) -> StreamId,
+        serve: S,
+    ) -> Result<Vec<TauwStep>, CoreError>
+    where
+        S: Fn(
+                &TimeseriesAwareWrapper,
+                &mut StreamEntry,
+                &mut ServingScratch,
+                usize,
+            ) -> Result<TauwStep, CoreError>
+            + Sync,
+    {
+        if n == 0 {
+            return Ok(Vec::new());
         }
-        if let Some(e) = first_err {
+        if n > POSITION_MASK as usize {
+            return Err(CoreError::InvalidInput {
+                reason: format!("a wave holds at most {POSITION_MASK} steps, got {n}"),
+            });
+        }
+        let WaveScratch {
+            order,
+            cuts,
+            workers,
+        } = &mut self.wave;
+        order.clear();
+        for i in 0..n {
+            let slot = self.table.slot(stream_of(i), self.buffer_capacity);
+            order.push((slot as u64) << POSITION_BITS | i as u64);
+        }
+        order.sort_unstable();
+
+        let threads = self.n_threads.unwrap_or_else(parallel::max_threads).max(1);
+        partition(order, threads, cuts);
+        let parts = cuts.len() - 1;
+        if workers.len() < parts {
+            workers.resize_with(parts, WaveWorker::default);
+        }
+        let mut jobs = Vec::with_capacity(parts);
+        let mut rest = self.table.entries.as_mut_slice();
+        let mut base = 0;
+        for (r, worker) in workers[..parts].iter_mut().enumerate() {
+            let end = if r + 1 < parts {
+                slot_of(order[cuts[r + 1]])
+            } else {
+                base + rest.len()
+            };
+            let (entries, tail) = std::mem::take(&mut rest).split_at_mut(end - base);
+            jobs.push(WaveJob {
+                base,
+                keys: &order[cuts[r]..cuts[r + 1]],
+                entries,
+                worker,
+            });
+            rest = tail;
+            base = end;
+        }
+        let wrapper = &self.wrapper;
+        let failures = parallel::par_map_mut(threads, &mut jobs, |job| job.run(wrapper, &serve));
+        drop(jobs);
+        if let Some((_, e)) = failures.into_iter().flatten().min_by_key(|(id, _)| *id) {
             return Err(e);
         }
-        Ok(results
-            .iter_mut()
-            .map(|r| r.take().expect("every batch position produced a result"))
-            .collect())
+
+        // Every position appears once in `order`, so the placeholder (the
+        // first worker's first result) is overwritten everywhere.
+        let mut out = vec![workers[0].output[0]; n];
+        for (r, worker) in workers[..parts].iter().enumerate() {
+            for (&key, &step) in order[cuts[r]..cuts[r + 1]].iter().zip(&worker.output) {
+                out[position_of(key)] = step;
+            }
+        }
+        Ok(out)
     }
 
     /// Turns on online adaptive calibration (see [`crate::adaptive`]):
@@ -575,20 +756,23 @@ impl TauwEngine {
     /// A stream's adaptive state (diagnostics, persistence), or `None` if
     /// the stream has no adaptive state yet.
     pub fn adaptive_state(&self, stream: StreamId) -> Option<&AdaptiveState> {
-        self.adaptive.get(&stream)
+        self.table.get(stream)?.adaptive.as_ref()
     }
 
     /// The drift classification of a stream's most recent adaptive step,
     /// or `None` if the stream has no adaptive state.
     pub fn stream_drift(&self, stream: StreamId) -> Option<DriftSignal> {
-        self.adaptive.get(&stream).map(AdaptiveState::last_drift)
+        self.adaptive_state(stream).map(AdaptiveState::last_drift)
     }
 
     /// Installs persisted adaptive state for a stream (resuming a serving
     /// process from an [`AdaptiveState`] artifact). Replaces any existing
-    /// state; the state's own config governs that stream from here on.
+    /// state; the state's own config governs that stream from here on. An
+    /// unknown stream is registered with an empty buffer, as
+    /// [`TauwEngine::begin_series`] does, so it is listed and exported
+    /// like every other stream.
     pub fn import_adaptive_state(&mut self, stream: StreamId, state: AdaptiveState) {
-        self.adaptive.insert(stream, state);
+        self.table.entry_mut(stream, self.buffer_capacity).adaptive = Some(state);
     }
 
     fn require_adaptive_config(&self) -> Result<AdaptiveConfig, CoreError> {
@@ -617,20 +801,13 @@ impl TauwEngine {
     ) -> Result<TauwStep, CoreError> {
         let config = self.require_adaptive_config()?;
         self.check_arity(quality_factors.len())?;
-        let capacity = self.buffer_capacity;
-        let buffer = self
-            .streams
-            .entry(stream)
-            .or_insert_with(|| new_buffer(capacity));
-        let state = match self.adaptive.entry(stream) {
-            std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::btree_map::Entry::Vacant(e) => e.insert(AdaptiveState::new(config)?),
-        };
+        let entry = self.table.entry_mut(stream, self.buffer_capacity);
+        let (buffer, state) = entry.adaptive_parts(config)?;
         adaptive_step_with_parts(
             &self.wrapper,
             buffer,
             state,
-            &mut ServingScratch::new(),
+            self.wave.single(),
             quality_factors,
             outcome,
             failed,
@@ -686,41 +863,23 @@ impl TauwEngine {
         for i in 0..n {
             self.check_arity(get(i).1.len())?;
         }
-        let n_slots = self.build_wave_slots(n, |i| get(i).0);
-
-        // Detach each touched stream's adaptive state too, so a worker
-        // owns the complete per-stream serving state.
-        for slot in &mut self.wave.slots[..n_slots] {
-            slot.state = Some(match self.adaptive.remove(&slot.stream) {
-                Some(state) => state,
-                None => AdaptiveState::new(config)?,
-            });
-        }
-
-        let threads = self.n_threads.unwrap_or_else(parallel::max_threads).max(1);
-        let wrapper = &self.wrapper;
-        let per_slot: Vec<Result<(), CoreError>> =
-            parallel::par_map_mut(threads, &mut self.wave.slots[..n_slots], |slot| {
-                let state = slot
-                    .state
-                    .as_mut()
-                    .expect("adaptive wave slots carry state");
-                for &i in &slot.positions {
-                    let (_, quality_factors, outcome, failed) = get(i);
-                    let step = adaptive_step_with_parts(
-                        wrapper,
-                        &mut slot.buffer,
-                        state,
-                        &mut slot.scratch,
-                        quality_factors,
-                        outcome,
-                        failed,
-                    )?;
-                    slot.output.push(step);
-                }
-                Ok(())
-            });
-        self.finish_wave(n, n_slots, per_slot)
+        self.serve_wave(
+            n,
+            |i| get(i).0,
+            |wrapper, entry, scratch, i| {
+                let (_, quality_factors, outcome, failed) = get(i);
+                let (buffer, state) = entry.adaptive_parts(config)?;
+                adaptive_step_with_parts(
+                    wrapper,
+                    buffer,
+                    state,
+                    scratch,
+                    quality_factors,
+                    outcome,
+                    failed,
+                )
+            },
+        )
     }
 
     /// Replays a batch of series as concurrent streams: series `s` becomes
@@ -1186,6 +1345,56 @@ mod tests {
         assert!(step.adapted_uncertainty > step.uncertainty);
     }
 
+    /// Regression test: adaptive state imported for an unknown stream
+    /// registers the stream, so listings and exports (and with them
+    /// shard snapshots) see it before its first step.
+    #[test]
+    fn import_adaptive_state_registers_an_unknown_stream() {
+        let tauw = fitted();
+        let config = AdaptiveConfig {
+            window: 4,
+            min_observations: 2,
+            ..Default::default()
+        };
+        let mut session = tauw.new_adaptive_session(config).unwrap();
+        for _ in 0..5 {
+            session.step(&[0.9], 3, true).unwrap();
+        }
+        let state = session.adaptive_state().clone();
+
+        let mut engine = tauw.clone().into_engine();
+        engine.buffer_capacity(6);
+        engine.enable_adaptation(config).unwrap();
+        engine.step_adaptive(StreamId(1), &[0.2], 7, false).unwrap();
+        engine.import_adaptive_state(StreamId(9), state.clone());
+        assert_eq!(engine.n_streams(), 2);
+        assert_eq!(engine.stream_ids(), vec![StreamId(1), StreamId(9)]);
+        assert_eq!(engine.stream_len(StreamId(9)), Some(0));
+        let (buffer, adaptive) = engine.export_stream(StreamId(9)).unwrap();
+        assert_eq!(buffer.capacity(), Some(6), "registered like begin_series");
+        assert_eq!(adaptive.as_ref(), Some(&state));
+
+        // The exported pair round-trips into a fresh engine, which then
+        // serves bit-identically to the original.
+        let mut resumed = tauw.into_engine();
+        resumed.enable_adaptation(config).unwrap();
+        resumed.import_stream(StreamId(9), buffer, adaptive);
+        for &(q, o, failed) in &[(0.9, 3, true), (0.1, 7, false), (0.8, 3, true)] {
+            let a = engine.step_adaptive(StreamId(9), &[q], o, failed).unwrap();
+            let b = resumed.step_adaptive(StreamId(9), &[q], o, failed).unwrap();
+            assert_eq!(a, b);
+        }
+        assert_eq!(
+            engine.export_stream(StreamId(9)),
+            resumed.export_stream(StreamId(9))
+        );
+
+        // Importing onto a known stream replaces only its adaptive state.
+        engine.import_adaptive_state(StreamId(1), state.clone());
+        assert_eq!(engine.stream_len(StreamId(1)), Some(1));
+        assert_eq!(engine.adaptive_state(StreamId(1)), Some(&state));
+    }
+
     #[test]
     fn wave_scratch_is_reused_across_steady_state_waves() {
         let tauw = fitted();
@@ -1240,22 +1449,27 @@ mod tests {
                 "warm-up round {round}"
             );
         }
-        let n_slots_warm = engine.wave.slots.len();
-        let fingerprints: Vec<(*const usize, *const f64, usize, usize)> = engine
-            .wave
-            .slots
-            .iter()
-            .map(|slot| {
-                (
-                    slot.positions.as_ptr(),
-                    slot.scratch.features.as_ptr(),
-                    slot.scratch.features.capacity(),
-                    slot.output.capacity(),
-                )
-            })
-            .collect();
-        let results_ptr = engine.wave.results.as_ptr();
+        type Fingerprint = (*const f64, usize, *const TauwStep, usize);
+        let fingerprint = |engine: &TauwEngine| -> Vec<Fingerprint> {
+            engine
+                .wave
+                .workers
+                .iter()
+                .map(|w| {
+                    (
+                        w.scratch.features.as_ptr(),
+                        w.scratch.features.capacity(),
+                        w.output.as_ptr(),
+                        w.output.capacity(),
+                    )
+                })
+                .collect()
+        };
+        let workers_warm = fingerprint(&engine);
+        assert_eq!(workers_warm.len(), 1, "threads(1) keeps one worker");
         let order_ptr = engine.wave.order.as_ptr();
+        let cuts_ptr = engine.wave.cuts.as_ptr();
+        let table_ptr = engine.table.entries.as_ptr();
 
         for round in 4..40 {
             let batch = wave(round);
@@ -1266,80 +1480,66 @@ mod tests {
             );
         }
 
-        assert_eq!(engine.wave.slots.len(), n_slots_warm, "slot pool regrew");
-        assert_eq!(engine.wave.results.as_ptr(), results_ptr);
-        assert_eq!(engine.wave.order.as_ptr(), order_ptr);
-        for (slot, &(positions, features, features_cap, output_cap)) in
-            engine.wave.slots.iter().zip(&fingerprints)
-        {
-            assert_eq!(slot.positions.as_ptr(), positions, "positions reallocated");
-            assert_eq!(
-                slot.scratch.features.as_ptr(),
-                features,
-                "scratch reallocated"
-            );
-            assert_eq!(slot.scratch.features.capacity(), features_cap);
-            assert_eq!(slot.output.capacity(), output_cap, "output staging regrew");
-        }
+        assert_eq!(fingerprint(&engine), workers_warm, "worker scratch regrew");
+        assert_eq!(engine.wave.order.as_ptr(), order_ptr, "order reallocated");
+        assert_eq!(engine.wave.cuts.as_ptr(), cuts_ptr, "cuts reallocated");
+        assert_eq!(engine.table.entries.as_ptr(), table_ptr, "table moved");
+        assert_eq!(engine.table.entries.len(), 3);
 
-        // The plain (non-adaptive) wave path shares the same scaffolding.
+        // The plain (non-adaptive) wave path and the single-step paths
+        // share the same scaffolding.
         let plain: Vec<StreamStep> = (0..3u64)
             .map(|s| StreamStep::new(StreamId(s), vec![0.4], 7))
             .collect();
         engine.step_many(&plain).unwrap();
-        let plain_fingerprints: Vec<*const f64> = engine
-            .wave
-            .slots
-            .iter()
-            .map(|slot| slot.scratch.features.as_ptr())
-            .collect();
+        let plain_fingerprints = fingerprint(&engine);
         for _ in 0..20 {
             engine.step_many(&plain).unwrap();
+            engine.step(StreamId(1), &[0.4], 7).unwrap();
+            engine.step_adaptive(StreamId(2), &[0.4], 7, false).unwrap();
         }
-        let after: Vec<*const f64> = engine
-            .wave
-            .slots
-            .iter()
-            .map(|slot| slot.scratch.features.as_ptr())
-            .collect();
-        assert_eq!(after, plain_fingerprints, "plain waves must reuse scratch");
+        assert_eq!(
+            fingerprint(&engine),
+            plain_fingerprints,
+            "plain waves and single steps must reuse scratch"
+        );
     }
 
-    /// Satellite regression test: the wave slot pool is sized by the peak
-    /// number of distinct streams per wave; ending streams must hand that
-    /// capacity back so steady-state memory tracks *live* streams.
+    /// Ended streams release their heap state at once, their entries are
+    /// reused by new streams, and the table does not grow under steady
+    /// churn.
     #[test]
-    fn end_stream_releases_wave_slot_capacity() {
+    fn end_stream_releases_stream_heap_state() {
         let tauw = fitted();
         let mut engine = tauw.clone().into_engine();
-        engine.threads(1);
+        engine.threads(1).buffer_capacity(8);
+        engine.enable_adaptation(AdaptiveConfig::default()).unwrap();
 
-        let batch: Vec<StreamStep> = (0..64u64)
-            .map(|s| StreamStep::new(StreamId(s), vec![0.3], 7))
+        let batch: Vec<AdaptiveStreamStep> = (0..64u64)
+            .map(|s| AdaptiveStreamStep::new(StreamId(s), vec![0.3], 7, false))
             .collect();
-        engine.step_many(&batch).unwrap();
-        assert_eq!(engine.wave.slots.len(), 64, "one slot per distinct stream");
+        engine.step_many_adaptive(&batch).unwrap();
+        assert_eq!(engine.table.entries.len(), 64, "one entry per stream");
 
-        // Retire all but four streams: the pool must shrink with them
-        // (both the live length and the backing allocation).
+        // Retire all but four streams: each vacated entry holds no heap
+        // state and sits on the free list.
         for s in 4..64u64 {
             assert!(engine.end_stream(StreamId(s)));
         }
-        assert!(
-            engine.wave.slots.len() <= 4,
-            "slot pool still holds {} slots for 4 live streams",
-            engine.wave.slots.len()
-        );
-        assert!(
-            engine.wave.slots.capacity() < 64,
-            "slot pool capacity still pins the historical peak"
-        );
+        assert_eq!(engine.n_streams(), 4);
+        assert_eq!(engine.table.free.len(), 60);
+        for &slot in &engine.table.free {
+            let entry = &engine.table.entries[slot as usize];
+            assert_eq!(entry.buffer.heap_slots(), 0, "buffer heap kept");
+            assert!(entry.adaptive.is_none(), "adaptive state kept");
+        }
 
-        // Ending an unknown stream is a no-op and must not over-shrink.
+        // Ending an unknown stream is a no-op.
         assert!(!engine.end_stream(StreamId(999)));
+        assert_eq!(engine.table.free.len(), 60);
 
-        // The shrunken engine keeps serving bit-identically: the surviving
-        // streams match dedicated sessions that replayed the same steps.
+        // The survivors keep serving bit-identically to dedicated
+        // sessions that replayed the same steps.
         let survivors: Vec<StreamStep> = (0..4u64)
             .map(|s| StreamStep::new(StreamId(s), vec![0.6], 3))
             .collect();
@@ -1348,15 +1548,72 @@ mod tests {
             let mut session = tauw.new_session();
             session.step(&[0.3], 7).unwrap();
             let expected = session.step(&[0.6], 3).unwrap();
-            assert_eq!(got, &expected, "stream {s} diverged after shrink");
+            assert_eq!(got, &expected, "stream {s} diverged after churn");
         }
-        assert_eq!(engine.wave.slots.len(), 4, "pool regrew past live count");
 
-        // clear_streams releases the scaffolding entirely.
+        // Steady 1/16 churn: each wave ends four streams and admits four
+        // never-seen ones. New streams take vacated entries, so the table
+        // stays at its peak and never reallocates.
+        let table_ptr = engine.table.entries.as_ptr();
+        let mut live: Vec<u64> = (0..64).collect();
+        let mut next_id = 1000u64;
+        for round in 0..40usize {
+            let batch: Vec<StreamStep> = live
+                .iter()
+                .map(|&s| StreamStep::new(StreamId(s), vec![0.5], 7))
+                .collect();
+            engine.step_many(&batch).unwrap();
+            for k in 0..4 {
+                let victim = (round * 4 + k) % live.len();
+                assert!(engine.end_stream(StreamId(live[victim])));
+                live[victim] = next_id;
+                next_id += 1;
+            }
+            assert_eq!(engine.table.entries.len(), 64, "table grew");
+        }
+        assert_eq!(engine.table.entries.as_ptr(), table_ptr, "table moved");
+        assert_eq!(engine.n_streams(), 60, "the last replacements are new");
+
+        // clear_streams releases the table and scaffolding entirely.
         engine.clear_streams();
-        assert!(engine.wave.slots.is_empty());
-        assert_eq!(engine.wave.slots.capacity(), 0);
-        assert!(engine.wave.order.capacity() == 0 && engine.wave.results.capacity() == 0);
+        assert_eq!(engine.n_streams(), 0);
+        assert_eq!(engine.table.entries.capacity(), 0);
+        assert_eq!(engine.table.index.capacity(), 0);
+        assert!(engine.wave.order.capacity() == 0 && engine.wave.workers.is_empty());
+    }
+
+    /// The index hash must not reuse the shard hash's low bits: every
+    /// stream of one shard shares `splitmix64(id) % K`, and the index
+    /// picks buckets from the low bits, so unsalted those streams would
+    /// crowd into `1/K` of the buckets.
+    #[test]
+    fn index_hash_spreads_one_shards_streams_over_all_buckets() {
+        for shards in [8u64, 64] {
+            let ids: Vec<u64> = (0u64..)
+                .filter(|&id| splitmix64(id) % shards == 3)
+                .take(2_500)
+                .collect();
+            let buckets = 4096u64;
+            let used = |hash: &dyn Fn(u64) -> u64| {
+                let mut seen = vec![false; buckets as usize];
+                for &id in &ids {
+                    seen[(hash(id) % buckets) as usize] = true;
+                }
+                seen.iter().filter(|&&b| b).count()
+            };
+            let unsalted = used(&splitmix64);
+            assert!(
+                unsalted <= (buckets / shards) as usize,
+                "the shard hash crowds one shard's ids: {unsalted}"
+            );
+            for _ in 0..4 {
+                let salt = IndexHashBuilder::default().0;
+                let salted = used(&|id| index_hash(salt, id));
+                // 2 500 keys thrown uniformly into 4 096 buckets fill
+                // ~1 860.
+                assert!(salted > 1_700, "{shards} shards: {salted} buckets used");
+            }
+        }
     }
 
     #[test]

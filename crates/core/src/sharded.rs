@@ -1,8 +1,8 @@
 //! Sharded service-grade serving: many [`TauwEngine`]s behind one front
 //! end.
 //!
-//! One [`TauwEngine`] is a single-owner map of stream buffers stepped in
-//! waves — fine for thousands of streams, a ceiling for millions. The
+//! One [`TauwEngine`] is a single-owner table of stream buffers stepped
+//! in waves — fine for thousands of streams, a ceiling for millions. The
 //! [`ShardedEngine`] owns `K` engine shards keyed by a deterministic
 //! [`StreamId`] hash and adds the three service-grade properties a
 //! long-running deployment needs:
@@ -16,9 +16,8 @@
 //!   (asserted by `tests/determinism.rs` and the resharding proptest).
 //! * **Admission control** — a configurable per-shard live-stream cap
 //!   turns unbounded map growth into a typed [`Admission`] outcome.
-//!   [`ShardedEngine::end_stream`] reclaims capacity (and, via the
-//!   engine's wave-scratch shrink path, the retired stream's share of the
-//!   slot pool).
+//!   [`ShardedEngine::end_stream`] reclaims capacity (and the retired
+//!   stream's heap state, whose table entry the next new stream reuses).
 //! * **Live snapshot/restore** — [`ShardedEngine::snapshot_shard`] exports
 //!   one shard's complete per-stream state as an [`EngineShardState`]
 //!   artifact through the versioned persistence layer
@@ -163,8 +162,9 @@ fn admission_error(stream: StreamId, reason: AdmissionReason) -> CoreError {
 
 /// SplitMix64 finalizer: a fixed, platform-independent bijection on `u64`
 /// used as the shard hash. Sequential stream ids (0, 1, 2, …) scatter
-/// uniformly instead of landing on consecutive shards.
-fn splitmix64(seed: u64) -> u64 {
+/// uniformly instead of landing on consecutive shards. Each engine's
+/// stream index hashes with a salted copy of it (see `engine::index_hash`).
+pub(crate) fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -449,9 +449,8 @@ impl ShardedEngine {
         admission
     }
 
-    /// Removes a stream entirely, reclaiming its admission capacity (and
-    /// its share of the shard's wave slot pool). Returns whether the
-    /// stream existed.
+    /// Removes a stream entirely, reclaiming its admission capacity and
+    /// its heap state. Returns whether the stream existed.
     pub fn end_stream(&mut self, stream: StreamId) -> bool {
         let shard = self.shard_of(stream);
         self.shards[shard].engine.end_stream(stream)

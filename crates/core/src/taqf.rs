@@ -241,7 +241,17 @@ impl TaqfSet {
 
     /// Extracts the selected factor values in [`TaqfSet::kinds`] order.
     pub fn select(self, v: &TaqfVector) -> Vec<f64> {
-        self.kinds().into_iter().map(|k| v.get(k)).collect()
+        self.selected(v).collect()
+    }
+
+    /// The selected factor values in [`TaqfSet::kinds`] order, without
+    /// collecting: the serving path appends them to its reusable feature
+    /// row, so a step allocates nothing here.
+    pub(crate) fn selected(self, v: &TaqfVector) -> impl Iterator<Item = f64> + '_ {
+        TaqfKind::ALL
+            .iter()
+            .filter(move |&&k| self.contains(k))
+            .map(move |&k| v.get(k))
     }
 
     /// Human-readable label like `"{ratio, certainty}"`.

@@ -584,7 +584,7 @@ impl TimeseriesAwareWrapper {
     ) -> Result<f64, CoreError> {
         scratch.features.clear();
         scratch.features.extend_from_slice(quality_factors);
-        scratch.features.extend(self.taqf_set.select(taqf));
+        scratch.features.extend(self.taqf_set.selected(taqf));
         self.taqim.uncertainty(&scratch.features)
     }
 
@@ -624,7 +624,7 @@ impl TimeseriesAwareWrapper {
     ) -> Result<RouteSupport, CoreError> {
         scratch.features.clear();
         scratch.features.extend_from_slice(quality_factors);
-        scratch.features.extend(self.taqf_set.select(taqf));
+        scratch.features.extend(self.taqf_set.selected(taqf));
         self.taqim.route_support(&scratch.features)
     }
 }

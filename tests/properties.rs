@@ -1062,6 +1062,159 @@ proptest! {
     }
 }
 
+// --- dense stream table ---
+
+/// Bit patterns of every field of a served step (`PartialEq` on `f64`
+/// would let `-0.0 == 0.0` through).
+fn step_bits(
+    step: &tauw_suite::core::tauw::TauwStep,
+) -> (Vec<u64>, tauw_suite::core::adaptive::DriftSignal) {
+    let bits = vec![
+        u64::from(step.fused_outcome),
+        step.uncertainty.to_bits(),
+        step.stateless_uncertainty.to_bits(),
+        step.taqf.ratio.to_bits(),
+        step.taqf.length.to_bits(),
+        step.taqf.unique_outcomes.to_bits(),
+        step.taqf.cumulative_certainty.to_bits(),
+        step.series_length as u64,
+        step.adapted_uncertainty.to_bits(),
+    ];
+    (bits, step.drift)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn stream_table_lifecycle_matches_per_stream_sessions(
+        // Random interleavings of waves (plain and adaptive, with
+        // duplicate ids), `end_stream`, `begin_series` on known and
+        // unknown ids, export -> import, and `clear_streams`, over a pool
+        // of 12 ids so ended ids come back and reuse vacated entries.
+        ops in prop::collection::vec((0u8..20, 0u64..12, 0u64..u64::MAX), 1..48),
+        thread_sel in 0usize..3,
+    ) {
+        use std::collections::BTreeMap;
+        use tauw_suite::core::adaptive::{AdaptiveConfig, AdaptiveTauwSession};
+        use tauw_suite::core::engine::{AdaptiveStreamStep, StreamId};
+        use tauw_suite::core::tauw::TauwSession;
+
+        /// Even ids serve adaptive waves, odd ids plain ones, so each
+        /// stream has one kind of reference session.
+        #[derive(Clone)]
+        enum Reference<'w> {
+            Plain(TauwSession<'w>),
+            Adaptive(AdaptiveTauwSession<'w>),
+        }
+
+        let threads = [1usize, 2, 8][thread_sel];
+        let tauw = sharded_fixture();
+        let config = AdaptiveConfig {
+            window: 4,
+            min_observations: 2,
+            rate: 0.1,
+            max_inflation_steps: 16,
+            ..Default::default()
+        };
+        let fresh = |id: u64| {
+            if id % 2 == 0 {
+                Reference::Adaptive(tauw.new_adaptive_session(config).unwrap())
+            } else {
+                Reference::Plain(tauw.new_session())
+            }
+        };
+        let mut engine = tauw.clone().into_engine();
+        engine.threads(threads);
+        engine.enable_adaptation(config).unwrap();
+        let mut model: BTreeMap<u64, Reference<'_>> = BTreeMap::new();
+
+        for (k, &(op, id, seed)) in ops.iter().enumerate() {
+            let mut state = seed | 1;
+            let mut next = move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                state >> 11
+            };
+            match op {
+                0..=11 => {
+                    // A wave of 1..=16 steps over ids of one parity.
+                    let adaptive = op >= 6;
+                    let len = 1 + (next() % 16) as usize;
+                    let entries: Vec<(u64, f64, u32)> = (0..len)
+                        .map(|_| {
+                            let id = 2 * (next() % 6) + u64::from(!adaptive);
+                            let q = (next() % 1000) as f64 / 1000.0;
+                            let outcome = if next() % 3 == 0 { 3 } else { 7 };
+                            (id, q, outcome)
+                        })
+                        .collect();
+                    let served = if adaptive {
+                        let batch: Vec<AdaptiveStreamStep> = entries
+                            .iter()
+                            .map(|&(id, q, o)| AdaptiveStreamStep::new(StreamId(id), vec![q], o, o != 7))
+                            .collect();
+                        engine.step_many_adaptive(&batch).unwrap()
+                    } else {
+                        let qfs: Vec<[f64; 1]> = entries.iter().map(|e| [e.1]).collect();
+                        let batch: Vec<(StreamId, &[f64], u32)> = entries
+                            .iter()
+                            .zip(&qfs)
+                            .map(|(&(id, _, o), q)| (StreamId(id), &q[..], o))
+                            .collect();
+                        engine.step_many_borrowed(&batch).unwrap()
+                    };
+                    prop_assert_eq!(served.len(), entries.len());
+                    for (i, (&(id, q, o), got)) in entries.iter().zip(&served).enumerate() {
+                        let want = match model.entry(id).or_insert_with(|| fresh(id)) {
+                            Reference::Plain(session) => session.step(&[q], o).unwrap(),
+                            Reference::Adaptive(session) => session.step(&[q], o, o != 7).unwrap(),
+                        };
+                        prop_assert!(
+                            step_bits(&want) == step_bits(got),
+                            "op {} entry {} stream {} threads={}: {:?} vs {:?}",
+                            k, i, id, threads, want, got
+                        );
+                    }
+                }
+                12..=14 => {
+                    prop_assert_eq!(engine.end_stream(StreamId(id)), model.remove(&id).is_some());
+                }
+                15..=16 => {
+                    engine.begin_series(StreamId(id));
+                    let reference = model.entry(id).or_insert_with(|| fresh(id));
+                    match reference {
+                        Reference::Plain(session) => session.begin_series(),
+                        Reference::Adaptive(session) => session.begin_series(),
+                    }
+                }
+                17..=18 => {
+                    // Copy `id`'s state onto a stream of the same parity.
+                    let to = (id + 2 * (1 + next() % 5)) % 12;
+                    match engine.export_stream(StreamId(id)) {
+                        Some((buffer, adaptive)) => {
+                            engine.import_stream(StreamId(to), buffer, adaptive);
+                            let copied = model[&id].clone();
+                            model.insert(to, copied);
+                        }
+                        None => prop_assert!(!model.contains_key(&id)),
+                    }
+                }
+                _ => {
+                    engine.clear_streams();
+                    model.clear();
+                }
+            }
+            let ids = engine.stream_ids();
+            prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "op {}: {:?}", k, ids);
+            let want: Vec<StreamId> = model.keys().map(|&id| StreamId(id)).collect();
+            prop_assert_eq!(ids, want);
+            prop_assert_eq!(engine.n_streams(), model.len());
+        }
+    }
+}
+
 // --- scenario families (tauw-sim) ---
 
 mod scenario_families {
