@@ -34,7 +34,7 @@
 //! silently defaulting to either side.
 
 use crate::buffer::{certainty_units_to_f64, TimeseriesBuffer, CERTAINTY_UNIT_ONE};
-use crate::calibration::{RouteSupport, ServingScratch};
+use crate::calibration::{RouteSupport, ServingScratch, TaQim};
 use crate::error::CoreError;
 use crate::tauw::{TauwStep, TimeseriesAwareWrapper};
 use serde::{Deserialize, Serialize};
@@ -486,8 +486,13 @@ impl Deserialize for AdaptiveState {
 /// state and serving scratch: the shared core [`AdaptiveTauwSession::step`]
 /// and [`crate::engine::TauwEngine::step_adaptive`] both delegate to, so a
 /// batched adaptive engine step is exactly a session step by construction.
-/// With a bounded buffer and warmed scratch the steady state performs no
-/// heap allocation (both taQIM lookups assemble their feature row in
+/// The taQIM feature row is assembled once and routed once: one
+/// [`TaQim::uncertainty_and_support`] lookup returns both the served bound
+/// and the calibration support `classify` reads, bitwise the pair
+/// [`TimeseriesAwareWrapper::step_with_parts`] and
+/// [`TimeseriesAwareWrapper::route_support_with_scratch`] would compute in
+/// two passes. With a bounded buffer and warmed scratch the steady state
+/// performs no heap allocation (the feature row assembles in
 /// `scratch.features`, and the coverage window is a ring).
 ///
 /// Order matters and is fixed here once: **serve, then observe**. The
@@ -503,9 +508,14 @@ pub(crate) fn adaptive_step_with_parts(
     outcome: u32,
     failed: bool,
 ) -> Result<TauwStep, CoreError> {
-    let mut step = wrapper.step_with_parts(buffer, scratch, quality_factors, outcome)?;
+    let (mut step, support) = wrapper.serve_step(
+        buffer,
+        scratch,
+        quality_factors,
+        outcome,
+        TaQim::uncertainty_and_support,
+    )?;
     step.adapted_uncertainty = state.adapted_bound(step.uncertainty);
-    let support = wrapper.route_support_with_scratch(scratch, quality_factors, &step.taqf)?;
     step.drift = state.classify(support);
     state.record_drift(step.drift);
     state.observe(step.adapted_uncertainty, failed);

@@ -322,8 +322,24 @@ impl CalibratedQim {
     ///
     /// Returns [`CoreError`] on feature-arity mismatch.
     pub fn route_support(&self, features: &[f64]) -> Result<u64, CoreError> {
-        let (_, node) = self.route_ids(features)?;
-        Ok(self.calibrated_leaf(node).map_or(0, |l| l.total))
+        Ok(self.uncertainty_and_support(features)?.1)
+    }
+
+    /// The served bound and its calibration support from one flat
+    /// traversal: `leaf_bounds[leaf]` plus the routed leaf's
+    /// [`CalibratedLeaf::total`]. The bound is bitwise
+    /// [`CalibratedQim::uncertainty`]'s and the support
+    /// [`CalibratedQim::route_support`]'s, which delegates here.
+    pub(crate) fn uncertainty_and_support(
+        &self,
+        features: &[f64],
+    ) -> Result<(f64, u64), CoreError> {
+        let leaf = self.flat.predict_leaf_id(features)?;
+        let node = self.flat.leaf(leaf).node_id;
+        Ok((
+            self.leaf_bounds[leaf as usize],
+            self.calibrated_leaf(node).map_or(0, |l| l.total),
+        ))
     }
 
     /// Checks the internal consistency of the two model representations:
@@ -798,13 +814,33 @@ impl CalibratedForestQim {
     ///
     /// Returns [`CoreError`] on feature-arity mismatch.
     pub fn route_support(&self, features: &[f64]) -> Result<u64, CoreError> {
+        Ok(self.uncertainty_and_support(features)?.1)
+    }
+
+    /// The served bound and its calibration support from one pass of `K`
+    /// flat traversals: the bounds summed left to right over the canonical
+    /// member order (bitwise [`CalibratedForestQim::uncertainty`]) and the
+    /// minimum of the routed leaves' [`CalibratedLeaf::total`] (bitwise
+    /// [`CalibratedForestQim::route_support`], which delegates here).
+    pub(crate) fn uncertainty_and_support(
+        &self,
+        features: &[f64],
+    ) -> Result<(f64, u64), CoreError> {
+        let mut sum = 0.0;
         let mut support = u64::MAX;
-        for (t, tree) in self.flat.trees().iter().enumerate() {
+        for ((tree, bounds), leaves) in self
+            .flat
+            .trees()
+            .iter()
+            .zip(&self.leaf_bounds)
+            .zip(&self.leaves)
+        {
             let leaf = tree.predict_leaf_id(features)?;
+            sum += bounds[leaf as usize];
             let node = tree.leaf(leaf).node_id;
-            support = support.min(self.calibrated_leaf(t, node).map_or(0, |l| l.total));
+            support = support.min(leaves.get(node).copied().flatten().map_or(0, |l| l.total));
         }
-        Ok(support)
+        Ok((sum / self.flat.n_trees() as f64, support))
     }
 
     /// Checks the internal consistency of every member (see
@@ -1037,15 +1073,27 @@ impl TaQim {
     ///
     /// Returns [`CoreError`] on feature-arity mismatch.
     pub fn route_support(&self, features: &[f64]) -> Result<RouteSupport, CoreError> {
+        Ok(self.uncertainty_and_support(features)?.1)
+    }
+
+    /// The served bound and its calibration support from one lookup — the
+    /// adaptive step's taQIM call. Bitwise `(uncertainty, route_support)`:
+    /// the tree shapes route once and read both from the routed leaves
+    /// (see [`CalibratedForestQim::route_support`] for the forest's
+    /// minimum); the leafless conformal shape adds
+    /// [`RouteSupport::Unsupported`] to its bound.
+    pub(crate) fn uncertainty_and_support(
+        &self,
+        features: &[f64],
+    ) -> Result<(f64, RouteSupport), CoreError> {
         match self {
-            TaQim::Tree(qim) => Ok(RouteSupport::Samples(qim.route_support(features)?)),
-            TaQim::Forest(qim) => Ok(RouteSupport::Samples(qim.route_support(features)?)),
-            TaQim::Conformal(qim) => {
-                // Leafless: validate the query like every other entry
-                // point, then say explicitly that no figure exists.
-                qim.uncertainty(features)?;
-                Ok(RouteSupport::Unsupported)
-            }
+            TaQim::Tree(qim) => qim
+                .uncertainty_and_support(features)
+                .map(|(bound, n)| (bound, RouteSupport::Samples(n))),
+            TaQim::Forest(qim) => qim
+                .uncertainty_and_support(features)
+                .map(|(bound, n)| (bound, RouteSupport::Samples(n))),
+            TaQim::Conformal(qim) => qim.uncertainty_and_support(features),
         }
     }
 
@@ -1108,7 +1156,9 @@ mod sealed {
 ///   stored representations (the persistence layer calls it on load);
 /// * [`route_support`](QimBackend::route_support) — calibration-support
 ///   introspection with an explicit [`RouteSupport::Unsupported`] for
-///   leafless backends, so drift detection degrades gracefully;
+///   leafless backends, so drift detection degrades gracefully, and its
+///   pointer-representation recompute
+///   [`route_support_reference`](QimBackend::route_support_reference);
 /// * [`artifact_kind_name`](QimBackend::artifact_kind_name) — the
 ///   persistence kind tag under which the backend's standalone artifact
 ///   envelope is registered (see `crate::persist`).
@@ -1169,6 +1219,15 @@ pub trait QimBackend: sealed::Sealed {
     /// Returns [`CoreError`] on feature-arity mismatch.
     fn route_support(&self, features: &[f64]) -> Result<RouteSupport, CoreError>;
 
+    /// Independent recompute of [`QimBackend::route_support`] over the
+    /// pointer representation (the minimum over members for a forest),
+    /// for bitwise verification.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError`] on feature-arity mismatch.
+    fn route_support_reference(&self, features: &[f64]) -> Result<RouteSupport, CoreError>;
+
     /// Number of features the backend reads.
     fn n_features(&self) -> usize;
 
@@ -1208,6 +1267,13 @@ impl QimBackend for CalibratedQim {
 
     fn route_support(&self, features: &[f64]) -> Result<RouteSupport, CoreError> {
         Ok(RouteSupport::Samples(self.route_support(features)?))
+    }
+
+    fn route_support_reference(&self, features: &[f64]) -> Result<RouteSupport, CoreError> {
+        let node = self.tree.leaf_id(features)?;
+        Ok(RouteSupport::Samples(
+            self.calibrated_leaf(node).map_or(0, |l| l.total),
+        ))
     }
 
     fn n_features(&self) -> usize {
@@ -1253,6 +1319,15 @@ impl QimBackend for CalibratedForestQim {
         Ok(RouteSupport::Samples(self.route_support(features)?))
     }
 
+    fn route_support_reference(&self, features: &[f64]) -> Result<RouteSupport, CoreError> {
+        let mut support = u64::MAX;
+        for (t, tree) in self.trees.iter().enumerate() {
+            let node = tree.leaf_id(features)?;
+            support = support.min(self.calibrated_leaf(t, node).map_or(0, |l| l.total));
+        }
+        Ok(RouteSupport::Samples(support))
+    }
+
     fn n_features(&self) -> usize {
         self.n_features()
     }
@@ -1293,9 +1368,11 @@ impl QimBackend for ConformalQim {
     }
 
     fn route_support(&self, features: &[f64]) -> Result<RouteSupport, CoreError> {
-        // Leafless: validate the query, then report the absence of a
-        // per-region figure explicitly.
-        self.uncertainty(features)?;
+        Ok(self.uncertainty_and_support(features)?.1)
+    }
+
+    fn route_support_reference(&self, features: &[f64]) -> Result<RouteSupport, CoreError> {
+        self.uncertainty_reference(features)?;
         Ok(RouteSupport::Unsupported)
     }
 
@@ -1340,6 +1417,14 @@ impl QimBackend for TaQim {
 
     fn route_support(&self, features: &[f64]) -> Result<RouteSupport, CoreError> {
         self.route_support(features)
+    }
+
+    fn route_support_reference(&self, features: &[f64]) -> Result<RouteSupport, CoreError> {
+        match self {
+            TaQim::Tree(qim) => QimBackend::route_support_reference(qim, features),
+            TaQim::Forest(qim) => QimBackend::route_support_reference(qim, features),
+            TaQim::Conformal(qim) => QimBackend::route_support_reference(qim, features),
+        }
     }
 
     fn n_features(&self) -> usize {
@@ -1932,6 +2017,97 @@ mod tests {
         // Arity mismatches surface as errors, not panics.
         assert!(single.route_support(&[0.1, 0.2]).is_err());
         assert!(qim.route_support(&[0.1, 0.2]).is_err());
+    }
+
+    /// The adaptive step's one-pass lookup is bitwise the two separate
+    /// lookups it replaces and their pointer-tree references, on every
+    /// shape and on NaN/±inf queries; a wrong arity fails with the same
+    /// error on every path.
+    #[test]
+    fn fused_lookup_is_bitwise_uncertainty_and_route_support() {
+        let calib = calib_samples(1000, |x| x > 0.5);
+        let single =
+            CalibratedQim::calibrate(trained_tree(400), &calib, CalibrationOptions::default())
+                .unwrap();
+        let forest_qim = CalibratedForestQim::calibrate(
+            trained_forest(4, 3, 500),
+            &calib,
+            CalibrationOptions::default(),
+        )
+        .unwrap();
+        let conformal = crate::conformal::ConformalQim::calibrate(
+            &calib_samples(600, |x| x > 0.5),
+            &calib,
+            CalibrationOptions::default(),
+            crate::conformal::ConformalOptions::default(),
+        )
+        .unwrap();
+        let queries = [
+            0.0,
+            0.1,
+            0.49,
+            0.5,
+            0.51,
+            0.9,
+            1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for qim in [
+            TaQim::Tree(single.clone()),
+            TaQim::Forest(forest_qim.clone()),
+            TaQim::Conformal(conformal),
+        ] {
+            for x in queries {
+                let q = [x];
+                let (bound, support) = qim.uncertainty_and_support(&q).unwrap();
+                assert_eq!(bound.to_bits(), qim.uncertainty(&q).unwrap().to_bits());
+                assert_eq!(
+                    bound.to_bits(),
+                    qim.uncertainty_reference(&q).unwrap().to_bits()
+                );
+                assert_eq!(support, qim.route_support(&q).unwrap());
+                assert_eq!(
+                    support,
+                    QimBackend::route_support_reference(&qim, &q).unwrap()
+                );
+                match &qim {
+                    TaQim::Tree(tree) => {
+                        let (b, n) = tree.uncertainty_and_support(&q).unwrap();
+                        assert_eq!(
+                            (b.to_bits(), RouteSupport::Samples(n)),
+                            (bound.to_bits(), support)
+                        );
+                    }
+                    TaQim::Forest(forest) => {
+                        let (b, n) = forest.uncertainty_and_support(&q).unwrap();
+                        assert_eq!(
+                            (b.to_bits(), RouteSupport::Samples(n)),
+                            (bound.to_bits(), support)
+                        );
+                    }
+                    TaQim::Conformal(_) => assert_eq!(support, RouteSupport::Unsupported),
+                }
+            }
+            let wrong = [0.1, 0.2];
+            let err = qim.uncertainty(&wrong).unwrap_err();
+            assert_eq!(qim.uncertainty_and_support(&wrong).unwrap_err(), err);
+            assert_eq!(qim.uncertainty_reference(&wrong).unwrap_err(), err);
+            assert_eq!(qim.route_support(&wrong).unwrap_err(), err);
+            assert_eq!(
+                QimBackend::route_support_reference(&qim, &wrong).unwrap_err(),
+                err
+            );
+        }
+        assert_eq!(
+            single.uncertainty_and_support(&[0.1, 0.2]).unwrap_err(),
+            single.uncertainty(&[0.1, 0.2]).unwrap_err()
+        );
+        assert_eq!(
+            forest_qim.uncertainty_and_support(&[0.1, 0.2]).unwrap_err(),
+            forest_qim.uncertainty(&[0.1, 0.2]).unwrap_err()
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! instead of fabricating a support figure.
 
 use crate::buffer::CERTAINTY_UNIT_ONE;
-use crate::calibration::{CalibrationOptions, ServingScratch};
+use crate::calibration::{CalibrationOptions, RouteSupport, ServingScratch};
 use crate::error::CoreError;
 use serde::{Deserialize, Serialize};
 
@@ -333,6 +333,18 @@ impl ConformalQim {
     pub fn uncertainty(&self, features: &[f64]) -> Result<f64, CoreError> {
         self.check_arity(features)?;
         Ok((self.base_score_flat(features) + self.quantile_shift).clamp(0.0, 1.0))
+    }
+
+    /// The served bound plus [`RouteSupport::Unsupported`]: the quantile
+    /// is a property of the whole calibration split, so there is no
+    /// per-region sample count to report. The seam's `route_support`
+    /// delegates here, so it rejects a wrong-arity query exactly like
+    /// [`ConformalQim::uncertainty`].
+    pub(crate) fn uncertainty_and_support(
+        &self,
+        features: &[f64],
+    ) -> Result<(f64, RouteSupport), CoreError> {
+        Ok((self.uncertainty(features)?, RouteSupport::Unsupported))
     }
 
     /// Batched [`ConformalQim::uncertainty`]: one bound per row appended

@@ -923,6 +923,44 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_artifacts_fail_to_load_without_aborting() {
+        // A million levels of nesting, about 1 MB (`[`) and 5 MB (`{"a":`)
+        // of text: far past the parser's depth limit, so every loader
+        // returns an error instead of overflowing the stack.
+        for open in ["[", "{\"a\":"] {
+            let hostile = open.repeat(1_000_000);
+            let results = [
+                UncertaintyWrapper::from_artifact_json(&hostile).err(),
+                TimeseriesAwareWrapper::from_artifact_json(&hostile).err(),
+                CalibratedForestQim::from_artifact_json(&hostile).err(),
+                CalibratedQim::from_artifact_json(&hostile).err(),
+                ConformalQim::from_artifact_json(&hostile).err(),
+                TimeseriesBuffer::from_artifact_json(&hostile).err(),
+                AdaptiveState::from_artifact_json(&hostile).err(),
+                EngineShardState::from_artifact_json(&hostile).err(),
+            ];
+            for err in results {
+                let Some(CoreError::InvalidInput { reason }) = err else {
+                    panic!("{open}: expected InvalidInput, got {err:?}");
+                };
+                assert!(reason.contains("recursion limit"), "{reason}");
+            }
+            let path = std::env::temp_dir().join(format!(
+                "tauw_nested_{}_{}.json",
+                open.len(),
+                std::process::id()
+            ));
+            std::fs::write(&path, &hostile).unwrap();
+            let err = TimeseriesAwareWrapper::load(&path);
+            assert!(
+                matches!(err, Err(CoreError::InvalidInput { .. })),
+                "{err:?}"
+            );
+            let _ = std::fs::remove_file(path);
+        }
+    }
+
+    #[test]
     fn old_format_version_is_rejected_as_such() {
         // A v1 artifact (pre-flat-form model layout) must be refused with
         // the version message, not with a missing-field error from the

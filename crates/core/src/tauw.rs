@@ -532,14 +532,37 @@ impl TimeseriesAwareWrapper {
         quality_factors: &[f64],
         outcome: u32,
     ) -> Result<TauwStep, CoreError> {
+        let (step, ()) =
+            self.serve_step(buffer, scratch, quality_factors, outcome, |taqim, row| {
+                Ok((taqim.uncertainty(row)?, ()))
+            })?;
+        Ok(step)
+    }
+
+    /// The stage sequence of every serving step, kept in this one place:
+    /// stateless QIM → buffer push → fuse → taQF → taQIM feature row, then
+    /// `lookup` on the row assembled in `scratch.features`. `lookup`
+    /// returns the bound to serve plus whatever else the caller reads from
+    /// the same routing pass: nothing for
+    /// [`TimeseriesAwareWrapper::step_with_parts`], the calibration
+    /// support for the adaptive step ([`TaQim::uncertainty_and_support`]).
+    pub(crate) fn serve_step<T>(
+        &self,
+        buffer: &mut TimeseriesBuffer,
+        scratch: &mut ServingScratch,
+        quality_factors: &[f64],
+        outcome: u32,
+        lookup: impl FnOnce(&TaQim, &[f64]) -> Result<(f64, T), CoreError>,
+    ) -> Result<(TauwStep, T), CoreError> {
         let stateless_uncertainty = self.stateless.uncertainty(quality_factors)?;
         buffer.push(outcome, stateless_uncertainty);
         let fused = buffer
             .fused_outcome()
             .expect("buffer is non-empty after push");
         let taqf = TaqfVector::compute(buffer, fused).expect("buffer is non-empty");
-        let uncertainty = self.ta_uncertainty_with_scratch(scratch, quality_factors, &taqf)?;
-        Ok(TauwStep {
+        let row = self.feature_row(scratch, quality_factors, &taqf);
+        let (uncertainty, extra) = lookup(&self.taqim, row)?;
+        let step = TauwStep {
             fused_outcome: fused,
             uncertainty,
             stateless_uncertainty,
@@ -549,7 +572,22 @@ impl TimeseriesAwareWrapper {
             series_length: usize::try_from(buffer.total_steps()).unwrap_or(usize::MAX),
             adapted_uncertainty: uncertainty,
             drift: crate::adaptive::DriftSignal::Stable,
-        })
+        };
+        Ok((step, extra))
+    }
+
+    /// Assembles the taQIM feature row `[stateless QFs ‖ selected taQFs]`
+    /// in `scratch.features` (cleared and refilled in place).
+    fn feature_row<'s>(
+        &self,
+        scratch: &'s mut ServingScratch,
+        quality_factors: &[f64],
+        taqf: &TaqfVector,
+    ) -> &'s [f64] {
+        scratch.features.clear();
+        scratch.features.extend_from_slice(quality_factors);
+        scratch.features.extend(self.taqf_set.selected(taqf));
+        &scratch.features
     }
 
     /// The taQIM lookup for one step: assembles `[stateless QFs ‖ selected
@@ -582,10 +620,8 @@ impl TimeseriesAwareWrapper {
         quality_factors: &[f64],
         taqf: &TaqfVector,
     ) -> Result<f64, CoreError> {
-        scratch.features.clear();
-        scratch.features.extend_from_slice(quality_factors);
-        scratch.features.extend(self.taqf_set.selected(taqf));
-        self.taqim.uncertainty(&scratch.features)
+        self.taqim
+            .uncertainty(self.feature_row(scratch, quality_factors, taqf))
     }
 
     /// How many calibration samples routed to the leaf combination the
@@ -622,10 +658,8 @@ impl TimeseriesAwareWrapper {
         quality_factors: &[f64],
         taqf: &TaqfVector,
     ) -> Result<RouteSupport, CoreError> {
-        scratch.features.clear();
-        scratch.features.extend_from_slice(quality_factors);
-        scratch.features.extend(self.taqf_set.selected(taqf));
-        self.taqim.route_support(&scratch.features)
+        self.taqim
+            .route_support(self.feature_row(scratch, quality_factors, taqf))
     }
 }
 

@@ -176,8 +176,8 @@ fn warmed_serving_steps_allocate_nothing_on_every_backend() {
         assert_eq!(n, 0, "{name}: step_with_parts allocated {n} times");
 
         // The engine's single-step paths: the adaptive one runs
-        // `adaptive_step_with_parts` (bound plus route support) on the
-        // engine's persistent scratch.
+        // `adaptive_step_with_parts` (one taQIM lookup for the bound and
+        // its route support) on the engine's persistent scratch.
         let mut engine = tauw.clone().into_engine();
         engine.buffer_capacity(8);
         engine.enable_adaptation(config).unwrap();

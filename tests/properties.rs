@@ -767,10 +767,13 @@ proptest! {
         // backend (tree, forest, conformal — bare and TaQim-wrapped): the
         // batch-major `uncertainty_batch_into` wave, the per-sample
         // `uncertainty` path, and the `uncertainty_reference` recompute
-        // are bitwise identical, under NaN-injected queries (bit 0 of the
-        // mask poisons the feature) and every thread budget.
+        // are bitwise identical, and so are `route_support` (the delegate
+        // of the adaptive step's one-pass lookup) and its pointer-tree
+        // `route_support_reference`, under NaN/±inf-injected queries (mask
+        // 1/2/3 replaces the feature) and every thread budget. A wrong
+        // arity fails with one error on every path.
         rows in prop::collection::vec((0.0f64..1.0, prop::bool::ANY), 60..200),
-        queries in prop::collection::vec((0.0f64..1.0, 0u8..2), 1..30),
+        queries in prop::collection::vec((0.0f64..1.0, 0u8..4), 1..30),
         depth in 1usize..5,
         k in 1usize..4,
         bins in 2usize..24,
@@ -784,8 +787,9 @@ proptest! {
         use tauw_suite::dtree::{Dataset, ForestBuilder, TreeBuilder};
 
         /// One backend through the whole contract: bounds in [0, 1],
-        /// serving == reference bitwise, batch == per-sample bitwise for
-        /// threads 1/2/8 (appended after a sentinel that must survive).
+        /// serving == reference bitwise for the bound and the support,
+        /// batch == per-sample bitwise for threads 1/2/8 (appended after
+        /// a sentinel that must survive), one arity error on every path.
         fn exercise<B: QimBackend>(
             backend: &B,
             query_rows: &[Vec<f64>],
@@ -801,7 +805,24 @@ proptest! {
                     u.to_bits(),
                     backend.uncertainty_reference(q).unwrap().to_bits()
                 );
+                prop_assert_eq!(
+                    backend.route_support(q).unwrap(),
+                    backend.route_support_reference(q).unwrap()
+                );
             }
+            let wrong = [0.5, 0.5];
+            let err = backend.uncertainty(&wrong).unwrap_err();
+            prop_assert_eq!(&backend.uncertainty_reference(&wrong).unwrap_err(), &err);
+            prop_assert_eq!(&backend.route_support(&wrong).unwrap_err(), &err);
+            prop_assert_eq!(&backend.route_support_reference(&wrong).unwrap_err(), &err);
+            let mut out = vec![f64::NEG_INFINITY];
+            prop_assert_eq!(
+                &backend
+                    .uncertainty_batch_into(1, &[wrong.to_vec()], &mut ServingScratch::new(), &mut out)
+                    .unwrap_err(),
+                &err
+            );
+            prop_assert_eq!(out, vec![f64::NEG_INFINITY]);
             let mut scratch = ServingScratch::new();
             for threads in [1usize, 2, 8] {
                 let mut out = vec![f64::NEG_INFINITY];
@@ -846,7 +867,14 @@ proptest! {
 
         let query_rows: Vec<Vec<f64>> = queries
             .iter()
-            .map(|(x, mask)| vec![if mask & 1 != 0 { f64::NAN } else { *x }])
+            .map(|(x, mask)| {
+                vec![match mask {
+                    1 => f64::NAN,
+                    2 => f64::INFINITY,
+                    3 => f64::NEG_INFINITY,
+                    _ => *x,
+                }]
+            })
             .collect();
 
         exercise(&tree, &query_rows)?;
