@@ -73,43 +73,6 @@ fn bench_prediction(c: &mut Criterion) {
             }
         });
     });
-    let batch: Vec<Vec<f64>> = (0..1000)
-        .map(|i| {
-            let mut q = query.clone();
-            q[0] = (i % 100) as f64 / 100.0;
-            q
-        })
-        .collect();
-    let mut group = c.benchmark_group("flat_batch_routing_1k_rows");
-    for threads in [1usize, 4] {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            let mut out = Vec::with_capacity(batch.len());
-            b.iter(|| {
-                out.clear();
-                flat.predict_leaf_ids_into(t, black_box(&batch), &mut out)
-                    .expect("batch");
-                black_box(out.len())
-            });
-        });
-    }
-    group.finish();
-    // The level-synchronous wave kernel alone (no thread fan-out), against
-    // the equivalent one-query-at-a-time loop over the same rows.
-    let mut wave_out = vec![0u32; batch.len()];
-    c.bench_function("flat_route_batch_major_1k_rows", |b| {
-        b.iter(|| {
-            flat.route_batch_into(black_box(&batch), &mut wave_out)
-                .expect("wave");
-            black_box(wave_out[0])
-        });
-    });
-    c.bench_function("flat_route_per_sample_1k_rows", |b| {
-        b.iter(|| {
-            for q in &batch {
-                black_box(flat.predict_leaf_id(black_box(q)).expect("route"));
-            }
-        });
-    });
 }
 
 fn bench_pruning(c: &mut Criterion) {

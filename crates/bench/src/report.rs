@@ -18,13 +18,14 @@ use serde::Serialize;
 /// recompute vs incremental-aggregate adaptive stepping) so the O(1)
 /// per-step cost of the adaptive calibration layer is measured and locked
 /// in.
-/// v6: the flat side of `qim_uncertainty_pointer_vs_flat` serves through
-/// the batch-major `uncertainty_batch_into` path (the deployed serving
-/// shape), the tree-vs-forest rows serve both estimators through the same
-/// batched path (amortizing the K-member fan-out per wave), and the new
+/// v6: the flat side of `qim_uncertainty_pointer_vs_flat` and the
+/// tree-vs-forest rows served through a batch-major wave path, and the
 /// `route_batch_major_vs_per_sample` / `route_forest_interleaved_vs_per_member`
-/// rows lock in the level-synchronous wave kernels against one-query-at-a-
-/// time routing.
+/// rows timed those wave kernels against one-query-at-a-time routing. The
+/// wave kernels never reached serving and were later removed together with
+/// those two rows and `route_batch_flat`; the QIM rows went back to
+/// per-sample serving. The tag was not bumped for that, because the row-set
+/// comparison against the committed files already rejects a stale file.
 /// v7: adds the `qim_uncertainty_tree_vs_conformal` row (single-tree taQIM
 /// vs the leafless split-conformal backend behind the `QimBackend` seam) so
 /// the table-lookup serving cost of the distribution-free estimator is

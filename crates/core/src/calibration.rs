@@ -15,8 +15,8 @@
 //! ensemble average steps through many small boundaries.
 //!
 //! **The backend seam.** [`QimBackend`] is the one serving contract every
-//! quality-impact-model backend implements: per-sample and batch-major
-//! uncertainty, a bitwise reference recompute, structural validation,
+//! quality-impact-model backend implements: per-sample uncertainty, a
+//! bitwise reference recompute, structural validation,
 //! [`RouteSupport`]-style calibration-support introspection, and a
 //! persistence kind tag. [`TaQim`] is the sealed closed set of backend
 //! shapes a wrapper actually serves — a plain enum, so the hot path stays
@@ -103,26 +103,23 @@ impl CalibrationOptions {
 /// Caller-owned reusable buffers for the serving hot path.
 ///
 /// The per-step routines assemble a `[stateless QFs ‖ selected taQFs]`
-/// feature row, and the batched routines hold a row-major table of routed
-/// leaf ids. Keeping both in a `ServingScratch` that outlives the step
-/// loop makes the steady-state serving path allocation-free: each buffer
+/// feature row. Keeping it in a `ServingScratch` that outlives the step
+/// loop makes the steady-state serving path allocation-free: the row
 /// grows to its working size on the first step and is reused verbatim
 /// afterwards.
 ///
 /// A fresh (default) scratch is always valid — every routine clears the
-/// buffers it reads before filling them, so no state leaks between steps,
-/// sessions, or models. Sessions and engine wave workers own one scratch
-/// each; standalone callers create one next to their step loop.
+/// row before filling it, so no state leaks between steps, sessions, or
+/// models. Sessions and engine wave workers own one scratch each;
+/// standalone callers create one next to their step loop.
 #[derive(Debug, Clone, Default)]
 pub struct ServingScratch {
     /// The assembled taQIM feature row `[stateless QFs ‖ selected taQFs]`.
     pub(crate) features: Vec<f64>,
-    /// Routed leaf ids, row-major (`row · n_trees + member` for forests).
-    pub(crate) leaf_ids: Vec<LeafId>,
 }
 
 impl ServingScratch {
-    /// Creates an empty scratch; the buffers grow on first use and are
+    /// Creates an empty scratch; the feature row grows on first use and is
     /// reused from then on.
     pub fn new() -> Self {
         Self::default()
@@ -229,41 +226,6 @@ impl CalibratedQim {
     /// Returns [`CoreError`] on feature-arity mismatch.
     pub fn uncertainty(&self, features: &[f64]) -> Result<f64, CoreError> {
         Ok(self.leaf_bounds[self.flat.predict_leaf_id(features)? as usize])
-    }
-
-    /// Batched [`CalibratedQim::uncertainty`]: routes the whole batch
-    /// through the level-synchronous wave traversal
-    /// ([`FlatTree::predict_leaf_ids_into`]) fanned over `threads`, then
-    /// appends one bound per row to `out` in input order. Routed leaf ids
-    /// stage in `scratch.leaf_ids`, so a warmed scratch makes the only
-    /// allocation the growth of the caller-owned `out`. Bit-identical to
-    /// calling [`CalibratedQim::uncertainty`] per row, for every thread
-    /// budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch of **any** row;
-    /// `out` is untouched on error.
-    pub fn uncertainty_batch_into<R>(
-        &self,
-        threads: usize,
-        rows: &[R],
-        scratch: &mut ServingScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CoreError>
-    where
-        R: AsRef<[f64]> + Sync,
-    {
-        scratch.leaf_ids.clear();
-        self.flat
-            .predict_leaf_ids_into(threads, rows, &mut scratch.leaf_ids)?;
-        out.extend(
-            scratch
-                .leaf_ids
-                .iter()
-                .map(|&leaf| self.leaf_bounds[leaf as usize]),
-        );
-        Ok(())
     }
 
     /// Reference implementation of [`CalibratedQim::uncertainty`] over the
@@ -432,14 +394,13 @@ fn calibrate_tree(
     prune_to_min_count(&mut tree, &counts, options.min_samples_per_leaf)?;
 
     // 2. Compile the pruned tree and re-route the calibration set on
-    // the flat form (batched, thread-fanned, input-order) to collect
-    // per-leaf failure stats keyed by the dense leaf id.
+    // the flat form to collect per-leaf failure stats keyed by the dense
+    // leaf id.
     let flat = FlatTree::from_tree(&tree);
-    let rows: Vec<&[f64]> = samples.iter().map(|(f, _)| f.as_slice()).collect();
-    let routed = flat.predict_leaf_ids(parallel::max_threads(), &rows)?;
     let mut failures = vec![0u64; flat.n_leaves()];
     let mut totals = vec![0u64; flat.n_leaves()];
-    for (leaf, (_, failed)) in routed.into_iter().zip(samples) {
+    for (features, failed) in samples {
+        let leaf = flat.predict_leaf_id(features)?;
         totals[leaf as usize] += 1;
         if *failed {
             failures[leaf as usize] += 1;
@@ -678,43 +639,6 @@ impl CalibratedForestQim {
             sum += bounds[tree.predict_leaf_id(features)? as usize];
         }
         Ok(sum / self.flat.n_trees() as f64)
-    }
-
-    /// Batched [`CalibratedForestQim::uncertainty`]: one forest-interleaved
-    /// pass over the batch ([`FlatForest::predict_leaf_ids_into`], row-major
-    /// `row · K + member`) fanned over `threads`, then one bound per row
-    /// appended to `out` in input order — summed left-to-right over the
-    /// canonical member order, exactly like the per-sample form, so results
-    /// are bit-identical to it for every thread budget. Routed leaf ids
-    /// stage in `scratch.leaf_ids`; a warmed scratch makes the only
-    /// allocation the growth of the caller-owned `out`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch of **any** row;
-    /// `out` is untouched on error.
-    pub fn uncertainty_batch_into<R>(
-        &self,
-        threads: usize,
-        rows: &[R],
-        scratch: &mut ServingScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CoreError>
-    where
-        R: AsRef<[f64]> + Sync,
-    {
-        let k = self.flat.n_trees();
-        scratch.leaf_ids.clear();
-        self.flat
-            .predict_leaf_ids_into(threads, rows, &mut scratch.leaf_ids)?;
-        for row in scratch.leaf_ids.chunks_exact(k) {
-            let mut sum = 0.0;
-            for (bounds, &leaf) in self.leaf_bounds.iter().zip(row) {
-                sum += bounds[leaf as usize];
-            }
-            out.push(sum / k as f64);
-        }
-        Ok(())
     }
 
     /// Reference implementation of [`CalibratedForestQim::uncertainty`]
@@ -968,33 +892,6 @@ impl TaQim {
         }
     }
 
-    /// Batched [`TaQim::uncertainty`] via the shape's batch-major wave
-    /// traversal (see [`CalibratedQim::uncertainty_batch_into`] /
-    /// [`CalibratedForestQim::uncertainty_batch_into`]): one bound per row
-    /// appended to `out` in input order, bit-identical to the per-sample
-    /// form for every thread budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch of **any** row;
-    /// `out` is untouched on error.
-    pub fn uncertainty_batch_into<R>(
-        &self,
-        threads: usize,
-        rows: &[R],
-        scratch: &mut ServingScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CoreError>
-    where
-        R: AsRef<[f64]> + Sync,
-    {
-        match self {
-            TaQim::Tree(qim) => qim.uncertainty_batch_into(threads, rows, scratch, out),
-            TaQim::Forest(qim) => qim.uncertainty_batch_into(threads, rows, scratch, out),
-            TaQim::Conformal(qim) => qim.uncertainty_batch_into(threads, rows, scratch, out),
-        }
-    }
-
     /// Pointer-representation recompute of [`TaQim::uncertainty`], for
     /// bit-identity verification.
     ///
@@ -1145,10 +1042,7 @@ mod sealed {
 /// # The contract
 ///
 /// * [`uncertainty`](QimBackend::uncertainty) — the per-step serving
-///   routine; [`uncertainty_batch_into`](QimBackend::uncertainty_batch_into)
-///   — the scratch-threaded batch-major wave form, **bit-identical** to
-///   the per-sample form for every thread budget, appending to `out` in
-///   input order and leaving `out` untouched on error;
+///   routine;
 /// * [`uncertainty_reference`](QimBackend::uncertainty_reference) — an
 ///   independent recompute over a second model representation, asserted
 ///   bitwise against serving by the determinism suite;
@@ -1178,24 +1072,6 @@ pub trait QimBackend: sealed::Sealed {
     ///
     /// Returns [`CoreError`] on feature-arity mismatch.
     fn uncertainty(&self, features: &[f64]) -> Result<f64, CoreError>;
-
-    /// Batch-major [`QimBackend::uncertainty`]: one bound per row appended
-    /// to `out` in input order, staged through the caller-owned `scratch`,
-    /// bit-identical to the per-sample form for every thread budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch of **any** row;
-    /// `out` is untouched on error.
-    fn uncertainty_batch_into<R>(
-        &self,
-        threads: usize,
-        rows: &[R],
-        scratch: &mut ServingScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CoreError>
-    where
-        R: AsRef<[f64]> + Sync;
 
     /// Independent recompute of [`QimBackend::uncertainty`] over a second
     /// model representation, for bitwise verification.
@@ -1244,19 +1120,6 @@ impl QimBackend for CalibratedQim {
         self.uncertainty(features)
     }
 
-    fn uncertainty_batch_into<R>(
-        &self,
-        threads: usize,
-        rows: &[R],
-        scratch: &mut ServingScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CoreError>
-    where
-        R: AsRef<[f64]> + Sync,
-    {
-        self.uncertainty_batch_into(threads, rows, scratch, out)
-    }
-
     fn uncertainty_reference(&self, features: &[f64]) -> Result<f64, CoreError> {
         self.uncertainty_reference(features)
     }
@@ -1292,19 +1155,6 @@ impl QimBackend for CalibratedQim {
 impl QimBackend for CalibratedForestQim {
     fn uncertainty(&self, features: &[f64]) -> Result<f64, CoreError> {
         self.uncertainty(features)
-    }
-
-    fn uncertainty_batch_into<R>(
-        &self,
-        threads: usize,
-        rows: &[R],
-        scratch: &mut ServingScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CoreError>
-    where
-        R: AsRef<[f64]> + Sync,
-    {
-        self.uncertainty_batch_into(threads, rows, scratch, out)
     }
 
     fn uncertainty_reference(&self, features: &[f64]) -> Result<f64, CoreError> {
@@ -1346,19 +1196,6 @@ impl QimBackend for ConformalQim {
         self.uncertainty(features)
     }
 
-    fn uncertainty_batch_into<R>(
-        &self,
-        threads: usize,
-        rows: &[R],
-        scratch: &mut ServingScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CoreError>
-    where
-        R: AsRef<[f64]> + Sync,
-    {
-        self.uncertainty_batch_into(threads, rows, scratch, out)
-    }
-
     fn uncertainty_reference(&self, features: &[f64]) -> Result<f64, CoreError> {
         self.uncertainty_reference(features)
     }
@@ -1392,19 +1229,6 @@ impl QimBackend for ConformalQim {
 impl QimBackend for TaQim {
     fn uncertainty(&self, features: &[f64]) -> Result<f64, CoreError> {
         self.uncertainty(features)
-    }
-
-    fn uncertainty_batch_into<R>(
-        &self,
-        threads: usize,
-        rows: &[R],
-        scratch: &mut ServingScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CoreError>
-    where
-        R: AsRef<[f64]> + Sync,
-    {
-        self.uncertainty_batch_into(threads, rows, scratch, out)
     }
 
     fn uncertainty_reference(&self, features: &[f64]) -> Result<f64, CoreError> {
@@ -1851,21 +1675,15 @@ mod tests {
             assert_eq!(backend.artifact_kind_name(), expected_kind);
             assert_eq!(QimBackend::n_features(backend), 1);
             backend.validate().unwrap();
-            let mut scratch = ServingScratch::default();
             let rows = [vec![0.1], vec![0.5], vec![0.9]];
             let mut out = Vec::new();
-            backend
-                .uncertainty_batch_into(1, &rows, &mut scratch, &mut out)
-                .unwrap();
-            for (row, served) in rows.iter().zip(&out) {
-                assert_eq!(
-                    served.to_bits(),
-                    QimBackend::uncertainty(backend, row).unwrap().to_bits()
-                );
+            for row in &rows {
+                let served = QimBackend::uncertainty(backend, row).unwrap();
                 assert_eq!(
                     served.to_bits(),
                     backend.uncertainty_reference(row).unwrap().to_bits()
                 );
+                out.push(served);
             }
             let support = QimBackend::route_support(backend, &rows[0]).unwrap();
             match support {
@@ -2129,65 +1947,5 @@ mod tests {
         let mut tampered = qim.clone();
         tampered.min_served_bound = f64::NAN;
         assert!(tampered.validate().is_err());
-    }
-
-    #[test]
-    fn batched_uncertainty_matches_per_sample_bitwise() {
-        let calib = calib_samples(1500, |x| x > 0.5);
-        let single =
-            CalibratedQim::calibrate(trained_tree(400), &calib, CalibrationOptions::default())
-                .unwrap();
-        let forest = CalibratedForestQim::calibrate(
-            trained_forest(4, 3, 500),
-            &calib,
-            CalibrationOptions::default(),
-        )
-        .unwrap();
-        let rows: Vec<[f64; 1]> = (0..97).map(|i| [i as f64 / 96.0]).collect();
-        let mut scratch = ServingScratch::new();
-        for threads in [1usize, 2, 8] {
-            // Single tree: appends in input order, preserving prior content.
-            let mut out = vec![9.0];
-            single
-                .uncertainty_batch_into(threads, &rows, &mut scratch, &mut out)
-                .unwrap();
-            assert_eq!(out[0], 9.0);
-            assert_eq!(out.len(), rows.len() + 1);
-            for (row, &got) in rows.iter().zip(&out[1..]) {
-                assert_eq!(got.to_bits(), single.uncertainty(row).unwrap().to_bits());
-            }
-            // Forest: one interleaved pass, same member-order summation.
-            let mut out = Vec::new();
-            forest
-                .uncertainty_batch_into(threads, &rows, &mut scratch, &mut out)
-                .unwrap();
-            for (row, &got) in rows.iter().zip(&out) {
-                assert_eq!(got.to_bits(), forest.uncertainty(row).unwrap().to_bits());
-            }
-            // TaQim dispatch agrees with the underlying shapes.
-            for taqim in [TaQim::Tree(single.clone()), TaQim::Forest(forest.clone())] {
-                let mut via_dispatch = Vec::new();
-                taqim
-                    .uncertainty_batch_into(threads, &rows, &mut scratch, &mut via_dispatch)
-                    .unwrap();
-                for (row, &got) in rows.iter().zip(&via_dispatch) {
-                    assert_eq!(got.to_bits(), taqim.uncertainty(row).unwrap().to_bits());
-                }
-            }
-        }
-        // Empty batches are fine; arity mismatches leave `out` untouched.
-        let mut out = vec![0.5];
-        let empty: [[f64; 1]; 0] = [];
-        single
-            .uncertainty_batch_into(2, &empty, &mut scratch, &mut out)
-            .unwrap();
-        assert_eq!(out, vec![0.5]);
-        assert!(single
-            .uncertainty_batch_into(2, &[[0.1, 0.2]], &mut scratch, &mut out)
-            .is_err());
-        assert!(forest
-            .uncertainty_batch_into(2, &[[0.1, 0.2]], &mut scratch, &mut out)
-            .is_err());
-        assert_eq!(out, vec![0.5], "failed batches must not leak output");
     }
 }

@@ -38,7 +38,7 @@
 //! instead of fabricating a support figure.
 
 use crate::buffer::CERTAINTY_UNIT_ONE;
-use crate::calibration::{CalibrationOptions, RouteSupport, ServingScratch};
+use crate::calibration::{CalibrationOptions, RouteSupport};
 use crate::error::CoreError;
 use serde::{Deserialize, Serialize};
 
@@ -347,38 +347,6 @@ impl ConformalQim {
         Ok((self.uncertainty(features)?, RouteSupport::Unsupported))
     }
 
-    /// Batched [`ConformalQim::uncertainty`]: one bound per row appended
-    /// to `out` in input order, bit-identical to the per-sample form for
-    /// every thread budget. The lookup is a few table indexes per row —
-    /// there is no traversal to fan out — so the `threads` budget and the
-    /// routing scratch are accepted for seam-contract parity and left
-    /// unused.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch of **any** row;
-    /// `out` is untouched on error.
-    pub fn uncertainty_batch_into<R>(
-        &self,
-        _threads: usize,
-        rows: &[R],
-        _scratch: &mut ServingScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CoreError>
-    where
-        R: AsRef<[f64]> + Sync,
-    {
-        for row in rows {
-            self.check_arity(row.as_ref())?;
-        }
-        out.extend(
-            rows.iter().map(|row| {
-                (self.base_score_flat(row.as_ref()) + self.quantile_shift).clamp(0.0, 1.0)
-            }),
-        );
-        Ok(())
-    }
-
     /// Reference implementation of [`ConformalQim::uncertainty`] over the
     /// nested rate table. Kept for bit-identity verification — not a
     /// serving path.
@@ -649,25 +617,17 @@ mod tests {
     #[test]
     fn serving_matches_reference_bitwise_including_nan() {
         let qim = fitted(0.95);
-        let mut scratch = ServingScratch::new();
-        let queries: Vec<[f64; 1]> = (0..64)
-            .map(|i| {
-                if i % 7 == 0 {
-                    [f64::NAN]
-                } else {
-                    [i as f64 / 63.0]
-                }
-            })
-            .collect();
-        let mut batched = vec![9.0];
-        qim.uncertainty_batch_into(4, &queries, &mut scratch, &mut batched)
-            .unwrap();
-        assert_eq!(batched[0], 9.0);
-        for (q, &got) in queries.iter().zip(&batched[1..]) {
-            assert_eq!(got.to_bits(), qim.uncertainty(q).unwrap().to_bits());
+        for i in 0..64 {
+            let q = if i % 7 == 0 {
+                [f64::NAN]
+            } else {
+                [i as f64 / 63.0]
+            };
+            let got = qim.uncertainty(&q).unwrap();
+            assert!((0.0..=1.0).contains(&got), "{got}");
             assert_eq!(
                 got.to_bits(),
-                qim.uncertainty_reference(q).unwrap().to_bits()
+                qim.uncertainty_reference(&q).unwrap().to_bits()
             );
         }
         // NaN falls back to the global rate, not to a poisoned estimate.
@@ -751,15 +711,11 @@ mod tests {
             ),
             Err(CoreError::FeatureArityMismatch { .. })
         ));
-        // Arity mismatch at query time; batched form leaves `out` intact.
+        // Arity mismatch at query time, on every lookup.
         let qim = fitted(0.9);
         assert!(qim.uncertainty(&[0.1, 0.2]).is_err());
-        let mut out = vec![0.5];
-        let mut scratch = ServingScratch::new();
-        assert!(qim
-            .uncertainty_batch_into(2, &[[0.1, 0.2]], &mut scratch, &mut out)
-            .is_err());
-        assert_eq!(out, vec![0.5], "failed batches must not leak output");
+        assert!(qim.uncertainty_reference(&[0.1, 0.2]).is_err());
+        assert!(qim.uncertainty_and_support(&[0.1, 0.2]).is_err());
     }
 
     #[test]

@@ -563,7 +563,7 @@ impl crate::sharded::EngineShardState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calibration::CalibrationOptions;
+    use crate::calibration::{CalibrationOptions, TaQim};
     use crate::conformal::ConformalOptions;
     use crate::tauw::{BackendSpec, TauwBuilder};
     use crate::training::{TrainingSeries, TrainingStep};
@@ -957,6 +957,101 @@ mod tests {
                 "{err:?}"
             );
             let _ = std::fs::remove_file(path);
+        }
+    }
+
+    /// Byte range of the unsigned integer after the first `"key": ` at or
+    /// after byte `from` of a pretty-printed artifact.
+    fn int_after(json: &str, from: usize, key: &str) -> std::ops::Range<usize> {
+        let pattern = format!("\"{key}\": ");
+        let start = from
+            + json[from..]
+                .find(&pattern)
+                .unwrap_or_else(|| panic!("artifact has no {key:?}"))
+            + pattern.len();
+        let len = json[start..].bytes().take_while(u8::is_ascii_digit).count();
+        assert!(len > 0, "{key:?} is not an unsigned integer");
+        start..start + len
+    }
+
+    fn with_range(json: &str, range: std::ops::Range<usize>, value: &str) -> String {
+        format!("{}{value}{}", &json[..range.start], &json[range.end..])
+    }
+
+    #[test]
+    fn one_digit_cycle_in_the_taqim_tree_fails_to_load() {
+        // Pointing the taQIM root's left child back at the root is a
+        // one-digit edit that makes the tree cyclic.
+        let json = fitted().to_artifact_json().unwrap();
+        let taqim = json.find("\"taqim\"").unwrap();
+        let left = int_after(&json, taqim, "left");
+        assert_eq!(left.len(), 1, "the edit stays one digit");
+        let cyclic = with_range(&json, left, "0");
+        let err = TimeseriesAwareWrapper::from_artifact_json(&cyclic).unwrap_err();
+        let CoreError::InvalidInput { reason } = err else {
+            panic!("expected InvalidInput, got {err:?}");
+        };
+        assert!(reason.contains("two paths"), "{reason}");
+    }
+
+    #[test]
+    fn malformed_trees_fail_to_load_on_every_tree_bearing_kind() {
+        type Load = fn(&str) -> Result<(), CoreError>;
+        let (tree, forest, conformal) = (fitted(), fitted_forest(), fitted_conformal());
+        let TaQim::Tree(tree_qim) = tree.taqim() else {
+            unreachable!()
+        };
+        let TaQim::Forest(forest_qim) = forest.taqim() else {
+            unreachable!()
+        };
+        let kinds: [(&str, String, Load); 6] = [
+            (
+                "stateless wrapper",
+                tree.stateless().to_artifact_json().unwrap(),
+                |j| UncertaintyWrapper::from_artifact_json(j).map(drop),
+            ),
+            ("tree wrapper", tree.to_artifact_json().unwrap(), |j| {
+                TimeseriesAwareWrapper::from_artifact_json(j).map(drop)
+            }),
+            ("forest wrapper", forest.to_artifact_json().unwrap(), |j| {
+                TimeseriesAwareWrapper::from_artifact_json(j).map(drop)
+            }),
+            (
+                "conformal wrapper",
+                conformal.to_artifact_json().unwrap(),
+                |j| TimeseriesAwareWrapper::from_artifact_json(j).map(drop),
+            ),
+            ("tree QIM", tree_qim.to_artifact_json().unwrap(), |j| {
+                CalibratedQim::from_artifact_json(j).map(drop)
+            }),
+            ("forest QIM", forest_qim.to_artifact_json().unwrap(), |j| {
+                CalibratedForestQim::from_artifact_json(j).map(drop)
+            }),
+        ];
+        for (kind, json, load) in kinds {
+            load(&json).unwrap();
+            // The first `left`/`right`/`feature` belong to the first
+            // tree's root.
+            let left = int_after(&json, 0, "left");
+            let right = int_after(&json, 0, "right");
+            let mutations = [
+                ("cycle", with_range(&json, left.clone(), "0")),
+                (
+                    "shared child",
+                    with_range(&json, right, &json[left.clone()]),
+                ),
+                ("child out of range", with_range(&json, left, "65537")),
+                (
+                    "feature out of range",
+                    with_range(&json, int_after(&json, 0, "feature"), "65537"),
+                ),
+            ];
+            for (what, mutated) in mutations {
+                assert!(
+                    matches!(load(&mutated), Err(CoreError::InvalidInput { .. })),
+                    "{kind}: {what} must fail to load"
+                );
+            }
         }
     }
 

@@ -56,17 +56,8 @@ impl FlatLeaf {
     /// Class probabilities at this leaf — training-count proportions,
     /// computed exactly like [`DecisionTree::predict_proba`].
     pub fn proba(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.counts.len());
-        self.proba_into(&mut out);
-        out
-    }
-
-    /// Appends the class probabilities to `out` (one entry per class), the
-    /// allocation-free form of [`FlatLeaf::proba`] for callers that reuse a
-    /// buffer across lookups. Same arithmetic, bit-identical values.
-    pub fn proba_into(&self, out: &mut Vec<f64>) {
         let total = self.n.max(1) as f64;
-        out.extend(self.counts.iter().map(|&c| c as f64 / total));
+        self.counts.iter().map(|&c| c as f64 / total).collect()
     }
 }
 
@@ -117,6 +108,12 @@ impl FlatTree {
     /// Lowers a trained tree into the flat form. Only nodes reachable from
     /// the root are emitted; leaf ids follow the depth-first order of
     /// [`DecisionTree::leaf_ids`].
+    ///
+    /// Nodes are emitted in pre-order, left before right — the same order
+    /// [`DecisionTree::compact`] uses, so flat offsets are stable and
+    /// readable. The walk keeps its own stack, so lowering a deep tree
+    /// (say, a long chain in a loaded artifact) cannot overflow the call
+    /// stack.
     pub fn from_tree(tree: &DecisionTree) -> Self {
         let mut flat = FlatTree {
             feature: Vec::with_capacity(tree.n_nodes()),
@@ -126,55 +123,54 @@ impl FlatTree {
             n_features: tree.n_features(),
             n_classes: tree.n_classes(),
         };
-        flat.lower(tree, 0);
-        flat
-    }
-
-    /// Emits the subtree rooted at arena node `id`, returning its flat
-    /// offset. Pre-order, left before right — the same order
-    /// [`DecisionTree::compact`] uses, so flat offsets are stable and
-    /// readable.
-    fn lower(&mut self, tree: &DecisionTree, id: NodeId) -> u32 {
-        let slot = self.feature.len();
-        self.feature.push(LEAF_SENTINEL);
-        self.threshold.push(0.0);
-        self.children.push([0, 0]);
-        match tree.node(id).kind {
-            NodeKind::Leaf => {
-                let info = &tree.node(id).info;
-                let leaf_id = self.leaves.len() as u32;
-                // Majority class with ties to the lowest id — the exact
-                // argmax loop of `DecisionTree::predict`.
-                let mut class = 0u32;
-                let mut best_count = 0u64;
-                for (c, &count) in info.counts.iter().enumerate() {
-                    if count > best_count {
-                        class = c as u32;
-                        best_count = count;
-                    }
-                }
-                self.leaves.push(FlatLeaf {
-                    node_id: id,
-                    n: info.n,
-                    counts: info.counts.clone(),
-                    class,
-                });
-                self.children[slot] = [leaf_id, leaf_id];
+        // (arena id, parent's flat slot and branch direction)
+        let mut stack: Vec<(NodeId, Option<(usize, usize)>)> = vec![(0, None)];
+        while let Some((id, parent)) = stack.pop() {
+            let slot = flat.feature.len();
+            if let Some((parent_slot, direction)) = parent {
+                flat.children[parent_slot][direction] = slot as u32;
             }
-            NodeKind::Internal {
-                feature,
-                threshold,
-                left,
-                right,
-            } => {
-                self.feature[slot] = feature as u32;
-                self.threshold[slot] = threshold;
-                let flat_left = self.lower(tree, left);
-                let flat_right = self.lower(tree, right);
-                self.children[slot] = [flat_left, flat_right];
+            flat.feature.push(LEAF_SENTINEL);
+            flat.threshold.push(0.0);
+            flat.children.push([0, 0]);
+            match tree.node(id).kind {
+                NodeKind::Leaf => {
+                    let info = &tree.node(id).info;
+                    let leaf_id = flat.leaves.len() as u32;
+                    // Majority class with ties to the lowest id — the exact
+                    // argmax loop of `DecisionTree::predict`.
+                    let mut class = 0u32;
+                    let mut best_count = 0u64;
+                    for (c, &count) in info.counts.iter().enumerate() {
+                        if count > best_count {
+                            class = c as u32;
+                            best_count = count;
+                        }
+                    }
+                    flat.leaves.push(FlatLeaf {
+                        node_id: id,
+                        n: info.n,
+                        counts: info.counts.clone(),
+                        class,
+                    });
+                    flat.children[slot] = [leaf_id, leaf_id];
+                }
+                NodeKind::Internal {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    flat.feature[slot] = feature as u32;
+                    flat.threshold[slot] = threshold;
+                    // Right is pushed first so the whole left subtree is
+                    // emitted before it.
+                    stack.push((right, Some((slot, 1))));
+                    stack.push((left, Some((slot, 0))));
+                }
             }
         }
-        slot as u32
+        flat
     }
 
     /// Number of features the source tree was trained on.
@@ -243,150 +239,14 @@ impl FlatTree {
     ///
     /// Same as [`FlatTree::predict_leaf_id`].
     pub fn predict_proba(&self, x: &[f64]) -> Result<Vec<f64>, DtreeError> {
-        let mut out = Vec::with_capacity(self.n_classes as usize);
-        self.predict_proba_into(x, &mut out)?;
-        Ok(out)
-    }
-
-    /// Appends the class probabilities at the leaf reached by `x` to `out`
-    /// — the allocation-free form of [`FlatTree::predict_proba`], same
-    /// values bit-for-bit.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FlatTree::predict_leaf_id`]; `out` is untouched on error.
-    pub fn predict_proba_into(&self, x: &[f64], out: &mut Vec<f64>) -> Result<(), DtreeError> {
-        self.leaf(self.predict_leaf_id(x)?).proba_into(out);
-        Ok(())
-    }
-
-    /// Batch-major leaf routing: advances the whole wave of `rows` one
-    /// level at a time through the SoA node tables, writing each row's
-    /// [`LeafId`] to the matching `out` slot. Arity is validated while the
-    /// wave is seeded, so the batch is walked exactly once.
-    ///
-    /// Level-synchronous traversal touches each node level's `feature`/
-    /// `threshold`/`children` entries for every pending row before moving
-    /// deeper, so node data stays hot across the batch instead of being
-    /// re-fetched per sample. Each row still takes exactly the comparisons
-    /// of [`FlatTree::predict_leaf_id`] in the same order, so the routed
-    /// leaf ids are bit-identical to per-sample routing by construction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DtreeError::PredictArityMismatch`] on the first row (in
-    /// input order) with the wrong number of features; `out` contents are
-    /// unspecified after an error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != rows.len()`.
-    pub fn route_batch_into<R>(&self, rows: &[R], out: &mut [LeafId]) -> Result<(), DtreeError>
-    where
-        R: AsRef<[f64]>,
-    {
-        assert_eq!(
-            rows.len(),
-            out.len(),
-            "route_batch_into: out must hold exactly one LeafId per row"
-        );
-        // Seed the wave: `out[i]` holds row i's node cursor while routing.
-        // Validation happens during seeding — one pass over the batch.
-        for (row, cursor) in rows.iter().zip(out.iter_mut()) {
-            self.check_arity(row.as_ref().len())?;
-            *cursor = 0;
-        }
-        // Advance the whole wave one level per pass until every cursor
-        // rests on a leaf. A single-leaf tree skips the loop entirely.
-        let mut pending = if self.feature[0] == LEAF_SENTINEL {
-            0
-        } else {
-            rows.len()
-        };
-        while pending > 0 {
-            pending = 0;
-            for (row, cursor) in rows.iter().zip(out.iter_mut()) {
-                let node = *cursor as usize;
-                let feature = self.feature[node];
-                if feature == LEAF_SENTINEL {
-                    continue;
-                }
-                let go_left = row.as_ref()[feature as usize] <= self.threshold[node];
-                let next = self.children[node][usize::from(!go_left)];
-                *cursor = next;
-                pending += usize::from(self.feature[next as usize] != LEAF_SENTINEL);
-            }
-        }
-        // Resolve node cursors to dense leaf ids.
-        for cursor in out.iter_mut() {
-            *cursor = self.children[*cursor as usize][0];
-        }
-        Ok(())
-    }
-
-    /// Batched leaf routing: appends one [`LeafId`] per row to `out`, in
-    /// input order, fanning contiguous row chunks out over up to `threads`
-    /// workers (the deterministic chunking of
-    /// [`parallel::par_zip_chunks_mut`], so the result is identical for
-    /// every thread budget). Each chunk validates and routes in one pass
-    /// via the batch-major [`FlatTree::route_batch_into`] wave, writing
-    /// leaf ids straight into `out` — no intermediate buffer.
-    ///
-    /// On error `out` is untouched (observably: the appended region is
-    /// rolled back before returning), and the reported error is the first
-    /// offending row in input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DtreeError::PredictArityMismatch`] if any row has the
-    /// wrong number of features.
-    pub fn predict_leaf_ids_into<R>(
-        &self,
-        threads: usize,
-        rows: &[R],
-        out: &mut Vec<LeafId>,
-    ) -> Result<(), DtreeError>
-    where
-        R: AsRef<[f64]> + Sync,
-    {
-        let start = out.len();
-        out.resize(start + rows.len(), 0);
-        let chunk_results =
-            parallel::par_zip_chunks_mut(threads, rows, &mut out[start..], 1, |chunk, slots| {
-                self.route_batch_into(chunk, slots)
-            });
-        // Chunks are contiguous and reported in order, and the wave
-        // validates rows left-to-right, so the first chunk error is the
-        // globally first offending row — matching the per-sample contract.
-        if let Some(err) = chunk_results.into_iter().find_map(Result::err) {
-            out.truncate(start);
-            return Err(err);
-        }
-        Ok(())
-    }
-
-    /// Allocating convenience around [`FlatTree::predict_leaf_ids_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DtreeError::PredictArityMismatch`] if any row has the
-    /// wrong number of features.
-    pub fn predict_leaf_ids<R>(&self, threads: usize, rows: &[R]) -> Result<Vec<LeafId>, DtreeError>
-    where
-        R: AsRef<[f64]> + Sync,
-    {
-        let mut out = Vec::with_capacity(rows.len());
-        self.predict_leaf_ids_into(threads, rows, &mut out)?;
-        Ok(out)
+        Ok(self.leaf(self.predict_leaf_id(x)?).proba())
     }
 
     /// The branch-light traversal core. `x` must have the right arity.
     ///
     /// The direction bit mirrors the pointer tree exactly: `x[f] <= t`
     /// goes left, everything else — including NaN — goes right.
-    /// `pub(crate)` so the forest's interleaved batch pass can route an
-    /// already-validated row through each member without re-checking arity.
-    pub(crate) fn route(&self, x: &[f64]) -> LeafId {
+    fn route(&self, x: &[f64]) -> LeafId {
         let mut node = 0usize;
         let mut feature = self.feature[0];
         while feature != LEAF_SENTINEL {
@@ -397,7 +257,7 @@ impl FlatTree {
         self.children[node][0]
     }
 
-    pub(crate) fn check_arity(&self, actual: usize) -> Result<(), DtreeError> {
+    fn check_arity(&self, actual: usize) -> Result<(), DtreeError> {
         if actual != self.n_features {
             return Err(DtreeError::PredictArityMismatch {
                 expected: self.n_features,
@@ -512,8 +372,49 @@ mod tests {
         let flat = FlatTree::from_tree(&tree);
         assert_eq!(flat.n_nodes(), 1);
         assert_eq!(flat.n_leaves(), 1);
-        assert_eq!(flat.predict_leaf_id(&[123.0]).unwrap(), 0);
-        assert_eq!(flat.predict(&[-5.0]).unwrap(), 1);
+        for x in [123.0, -5.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(flat.predict_leaf_id(&[x]).unwrap(), 0);
+            assert_eq!(flat.predict(&[x]).unwrap(), 1);
+        }
+    }
+
+    #[test]
+    fn a_deep_chain_lowers_without_recursing() {
+        // 200 000 levels: node 2k splits into leaf 2k + 1 and node 2k + 2.
+        let depth = 200_000;
+        let info = NodeInfo {
+            n: 1,
+            counts: vec![1, 0],
+            impurity: 0.0,
+            depth: 0,
+        };
+        let mut nodes = Vec::with_capacity(2 * depth + 1);
+        for k in 0..depth {
+            nodes.push(Node {
+                info: info.clone(),
+                kind: NodeKind::Internal {
+                    feature: 0,
+                    threshold: k as f64,
+                    left: 2 * k + 1,
+                    right: 2 * k + 2,
+                },
+            });
+            nodes.push(Node {
+                info: info.clone(),
+                kind: NodeKind::Leaf,
+            });
+        }
+        nodes.push(Node {
+            info,
+            kind: NodeKind::Leaf,
+        });
+        let tree = DecisionTree::from_parts(nodes, 1, 2, vec!["x".into()]).unwrap();
+        let flat = FlatTree::from_tree(&tree);
+        assert_eq!(flat.n_leaves(), depth + 1);
+        for x in [-1.0, 0.5, 1234.5, 1e9, f64::NAN] {
+            let lid = flat.predict_leaf_id(&[x]).unwrap();
+            assert_eq!(flat.leaf(lid).node_id, tree.leaf_id(&[x]).unwrap(), "{x}");
+        }
     }
 
     #[test]
@@ -532,125 +433,20 @@ mod tests {
     }
 
     #[test]
-    fn batched_routing_is_order_preserving_for_every_thread_budget() {
-        let tree = toy_tree();
-        let flat = FlatTree::from_tree(&tree);
-        let rows: Vec<Vec<f64>> = (0..64)
-            .map(|i| vec![(i % 5) as f64, (i % 11) as f64])
-            .collect();
-        let serial = flat.predict_leaf_ids(1, &rows).unwrap();
-        assert_eq!(serial.len(), rows.len());
-        for (row, &lid) in rows.iter().zip(&serial) {
-            assert_eq!(flat.leaf(lid).node_id, tree.leaf_id(row).unwrap());
-        }
-        for threads in [2usize, 4, 8] {
-            assert_eq!(flat.predict_leaf_ids(threads, &rows).unwrap(), serial);
-        }
-        // `_into` appends without clobbering.
-        let mut out = vec![99u32];
-        flat.predict_leaf_ids_into(4, &rows, &mut out).unwrap();
-        assert_eq!(out[0], 99);
-        assert_eq!(&out[1..], serial.as_slice());
-    }
-
-    #[test]
     fn arity_mismatch_is_rejected_before_any_work() {
         let flat = FlatTree::from_tree(&toy_tree());
-        assert!(matches!(
-            flat.predict_leaf_id(&[1.0]),
-            Err(DtreeError::PredictArityMismatch {
-                expected: 2,
-                actual: 1
-            })
-        ));
-        let rows = vec![vec![1.0, 2.0], vec![1.0]];
-        let mut out = Vec::new();
-        assert!(flat.predict_leaf_ids_into(4, &rows, &mut out).is_err());
-        assert!(out.is_empty(), "failed batch must not write partial output");
-        // Pre-existing content survives a failed batch too.
-        let mut out = vec![42u32];
-        assert!(flat.predict_leaf_ids_into(4, &rows, &mut out).is_err());
-        assert_eq!(out, vec![42], "error must roll back to the prior content");
-    }
-
-    #[test]
-    fn batched_errors_report_the_first_offending_row() {
-        let flat = FlatTree::from_tree(&toy_tree());
-        // Bad rows in chunks 2 and 0 (at threads=4 the 8-row batch splits
-        // into chunks of 2): the reported arity must come from the earliest
-        // bad row in *input* order, not whichever chunk finishes first.
-        let mut rows: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64, 0.0]).collect();
-        rows[5] = vec![1.0, 2.0, 3.0];
-        rows[1] = vec![1.0];
-        for threads in [1usize, 2, 4, 8] {
-            let mut out = Vec::new();
-            match flat.predict_leaf_ids_into(threads, &rows, &mut out) {
-                Err(DtreeError::PredictArityMismatch { actual, .. }) => {
-                    assert_eq!(actual, 1, "threads={threads}: first bad row is row 1");
-                }
-                other => panic!("expected arity error, got {other:?}"),
-            }
+        // Each bad row's error names that row's own arity.
+        for (row, actual) in [(vec![1.0], 1usize), (vec![1.0, 2.0, 3.0], 3)] {
+            assert_eq!(
+                flat.predict_leaf_id(&row),
+                Err(DtreeError::PredictArityMismatch {
+                    expected: 2,
+                    actual
+                })
+            );
+            assert!(flat.predict(&row).is_err());
+            assert!(flat.predict_proba(&row).is_err());
         }
-    }
-
-    #[test]
-    fn wave_routing_matches_per_sample_routing_bitwise() {
-        let tree = toy_tree();
-        let flat = FlatTree::from_tree(&tree);
-        let rows: Vec<Vec<f64>> = (0..97)
-            .map(|i| {
-                let a = if i % 13 == 0 {
-                    f64::NAN
-                } else {
-                    (i % 5) as f64
-                };
-                let b = if i % 17 == 0 {
-                    f64::NAN
-                } else {
-                    (i % 11) as f64
-                };
-                vec![a, b]
-            })
-            .collect();
-        let mut wave = vec![0u32; rows.len()];
-        flat.route_batch_into(&rows, &mut wave).unwrap();
-        for (row, &lid) in rows.iter().zip(&wave) {
-            assert_eq!(lid, flat.predict_leaf_id(row).unwrap());
-        }
-    }
-
-    #[test]
-    fn wave_routing_handles_single_leaf_and_ragged_batches() {
-        let mut ds = Dataset::new(vec!["x".into()], 2).unwrap();
-        ds.push_row(&[1.0], 1).unwrap();
-        let flat = FlatTree::from_tree(&TreeBuilder::new().fit(&ds).unwrap());
-        assert_eq!(flat.n_leaves(), 1);
-        // Batch sizes 0, 1, and many against the degenerate root-leaf tree.
-        let empty: Vec<Vec<f64>> = Vec::new();
-        flat.route_batch_into(&empty, &mut []).unwrap();
-        let mut one = [99u32];
-        flat.route_batch_into(&[vec![5.0]], &mut one).unwrap();
-        assert_eq!(one, [0]);
-        let rows: Vec<Vec<f64>> = (0..33).map(|i| vec![i as f64]).collect();
-        let mut many = vec![7u32; rows.len()];
-        flat.route_batch_into(&rows, &mut many).unwrap();
-        assert!(many.iter().all(|&l| l == 0));
-        assert_eq!(flat.predict_leaf_ids(4, &empty).unwrap(), Vec::<u32>::new());
-        assert_eq!(flat.predict_leaf_ids(4, &rows).unwrap(), many);
-    }
-
-    #[test]
-    fn predict_proba_into_appends_without_allocating_results() {
-        let flat = FlatTree::from_tree(&toy_tree());
-        let mut out = vec![0.5f64];
-        flat.predict_proba_into(&[0.0, 0.0], &mut out).unwrap();
-        let direct = flat.predict_proba(&[0.0, 0.0]).unwrap();
-        assert_eq!(out[0], 0.5, "append semantics keep prior content");
-        assert_eq!(&out[1..], direct.as_slice());
-        // Error leaves the buffer untouched.
-        let before = out.clone();
-        assert!(flat.predict_proba_into(&[0.0], &mut out).is_err());
-        assert_eq!(out, before);
     }
 
     #[test]

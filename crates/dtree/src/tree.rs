@@ -53,7 +53,10 @@ pub struct Node {
 /// Trees are built by [`crate::builder::TreeBuilder`]; this type owns the
 /// node arena and provides prediction and structural editing. The root is
 /// always node `0`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Deserialization funnels through [`DecisionTree::from_parts`], so a
+/// crafted payload cannot bypass its bounds and shape checks.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
     n_features: usize,
@@ -61,14 +64,34 @@ pub struct DecisionTree {
     feature_names: Vec<String>,
 }
 
+impl Deserialize for DecisionTree {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        let map = serde::__expect_map(value, "DecisionTree")?;
+        let field = |name| serde::__field(map, name, "DecisionTree");
+        DecisionTree::from_parts(
+            Vec::<Node>::deserialize(field("nodes")?)?,
+            usize::deserialize(field("n_features")?)?,
+            u32::deserialize(field("n_classes")?)?,
+            Vec::<String>::deserialize(field("feature_names")?)?,
+        )
+        .map_err(|e| serde::Error::custom(e.to_string()))
+    }
+}
+
 impl DecisionTree {
     /// Assembles a tree from raw parts. Intended for the builder and for
     /// deserialization paths; validates basic structural invariants.
     ///
+    /// Every child and feature index must be in bounds, and the nodes
+    /// reachable from the root must form a tree: no node is reached twice,
+    /// so routing always ends at a leaf. Arena nodes the root cannot reach
+    /// (left behind by [`DecisionTree::collapse_to_leaf`]) are allowed.
+    ///
     /// # Errors
     ///
-    /// Returns [`DtreeError`] if the arena is empty or child indices are out
-    /// of bounds.
+    /// Returns [`DtreeError`] if the arena is empty, child or feature
+    /// indices are out of bounds, or a node is reachable along two paths
+    /// (a cycle or a shared child).
     pub fn from_parts(
         nodes: Vec<Node>,
         n_features: usize,
@@ -91,6 +114,20 @@ impl DecisionTree {
                         constraint: "node references out of bounds",
                     });
                 }
+            }
+        }
+        // Iterative walk from the root, so a hostile arena cannot recurse.
+        let mut visited = vec![false; nodes.len()];
+        let mut stack = vec![0];
+        while let Some(id) = stack.pop() {
+            if std::mem::replace(&mut visited[id], true) {
+                return Err(DtreeError::InvalidHyperParameter {
+                    constraint: "a node is reachable from the root along two paths",
+                });
+            }
+            if let NodeKind::Internal { left, right, .. } = nodes[id].kind {
+                stack.push(right);
+                stack.push(left);
             }
         }
         Ok(DecisionTree {
@@ -474,6 +511,61 @@ mod tests {
         }];
         assert!(DecisionTree::from_parts(bad, 1, 2, vec!["f0".into()]).is_err());
         assert!(DecisionTree::from_parts(vec![], 1, 2, vec!["f0".into()]).is_err());
+    }
+
+    /// The toy tree's arena with one internal node's children replaced.
+    fn rewired(node: NodeId, left: NodeId, right: NodeId) -> Vec<Node> {
+        let mut nodes = toy_tree().nodes;
+        if let NodeKind::Internal {
+            left: l, right: r, ..
+        } = &mut nodes[node].kind
+        {
+            *l = left;
+            *r = right;
+        }
+        nodes
+    }
+
+    /// Serializes a raw arena the way a saved tree looks on disk.
+    fn arena_json(nodes: &[Node], n_features: usize) -> String {
+        let tree = DecisionTree {
+            nodes: nodes.to_vec(),
+            n_features,
+            n_classes: 2,
+            feature_names: vec!["f0".into(), "f1".into()],
+        };
+        serde_json::to_string(&tree).unwrap()
+    }
+
+    #[test]
+    fn malformed_arenas_are_rejected_by_from_parts_and_on_load() {
+        let names = || vec!["f0".to_string(), "f1".to_string()];
+        let cases = [
+            ("cycle", rewired(2, 0, 4), 2),
+            ("self loop", rewired(2, 2, 4), 2),
+            ("shared child", rewired(2, 1, 4), 2),
+            ("child out of range", rewired(2, 3, 65537), 2),
+            ("child at usize::MAX", rewired(0, usize::MAX, 2), 2),
+            ("feature out of range", toy_tree().nodes, 1),
+        ];
+        for (what, nodes, n_features) in cases {
+            let json = arena_json(&nodes, n_features);
+            assert!(
+                DecisionTree::from_parts(nodes, n_features, 2, names()).is_err(),
+                "{what}: from_parts"
+            );
+            assert!(
+                serde_json::from_str::<DecisionTree>(&json).is_err(),
+                "{what}: deserialize"
+            );
+        }
+        // A well-formed arena still loads, orphaned nodes included.
+        let mut t = toy_tree();
+        let json = serde_json::to_string(&t).unwrap();
+        assert_eq!(serde_json::from_str::<DecisionTree>(&json).unwrap(), t);
+        t.collapse_to_leaf(2);
+        let json = serde_json::to_string(&t).unwrap();
+        assert_eq!(serde_json::from_str::<DecisionTree>(&json).unwrap(), t);
     }
 
     #[test]

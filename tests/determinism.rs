@@ -185,9 +185,9 @@ fn parallel_fit_is_bit_identical_across_thread_counts() {
 #[test]
 fn flat_tree_is_bit_identical_to_pointer_tree_across_thread_counts() {
     // The compiled SoA form must be a *lowering*, not a reinterpretation:
-    // same leaves, same routing, same predictions, for every thread budget
-    // of the batched path — proven via leaf-id mapping, bitwise prediction
-    // equality, and byte-identical serde of the flat form after use.
+    // same leaves, same routing, same predictions, and the same flat form
+    // for every fit thread budget — proven via leaf-id mapping, bitwise
+    // prediction equality, and byte-identical serde of the flat form.
     use tauw_suite::dtree::{Dataset, FlatTree, Splitter, TreeBuilder};
     let mut state = 0xF1A7u64;
     let mut next = move || {
@@ -226,11 +226,8 @@ fn flat_tree_is_bit_identical_to_pointer_tree_across_thread_counts() {
         );
 
         // Single-sample fast path vs the pointer tree, bit for bit.
-        let serial: Vec<u32> = queries
-            .iter()
-            .map(|q| flat.predict_leaf_id(q).unwrap())
-            .collect();
-        for (q, &lid) in queries.iter().zip(&serial) {
+        for q in &queries {
+            let lid = flat.predict_leaf_id(q).unwrap();
             assert_eq!(flat.leaf(lid).node_id, tree.leaf_id(q).unwrap());
             assert_eq!(flat.predict(q).unwrap(), tree.predict(q).unwrap());
             let fp = flat.predict_proba(q).unwrap();
@@ -241,11 +238,18 @@ fn flat_tree_is_bit_identical_to_pointer_tree_across_thread_counts() {
             }
         }
 
-        // Batched fan-out across thread budgets, in input order.
-        for threads in [1usize, 2, 8] {
+        // The lowering of a tree fitted under any thread budget is the
+        // same flat form, byte for byte.
+        for threads in [2usize, 8] {
+            let par = TreeBuilder::new()
+                .splitter(splitter)
+                .max_depth(8)
+                .threads(threads)
+                .fit(&ds)
+                .unwrap();
             assert_eq!(
-                flat.predict_leaf_ids(threads, &queries).unwrap(),
-                serial,
+                serde_json::to_string(&FlatTree::from_tree(&par)).unwrap(),
+                flat_json,
                 "{splitter:?} threads={threads}"
             );
         }

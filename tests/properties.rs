@@ -514,7 +514,9 @@ proptest! {
             (0.0f64..1.0, 0.0f64..1.0, 0u32..3),
             1..200,
         ),
-        queries in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..30),
+        // The query mask injects NaN features (bit 0 poisons `a`, bit 1
+        // poisons `b`) to exercise the route-right rule.
+        queries in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0u8..4), 1..30),
         depth in 1usize..7,
         min_leaf in 1usize..10,
     ) {
@@ -539,62 +541,6 @@ proptest! {
         );
 
         // Per-query bit-identity: routing, class, probabilities.
-        let query_rows: Vec<Vec<f64>> = queries.iter().map(|(a, b)| vec![*a, *b]).collect();
-        let mut serial = Vec::new();
-        for q in &query_rows {
-            let lid = flat.predict_leaf_id(q).unwrap();
-            serial.push(lid);
-            prop_assert_eq!(flat.leaf(lid).node_id, tree.leaf_id(q).unwrap());
-            prop_assert_eq!(flat.predict(q).unwrap(), tree.predict(q).unwrap());
-            let fp = flat.predict_proba(q).unwrap();
-            let tp = tree.predict_proba(q).unwrap();
-            prop_assert_eq!(fp.len(), tp.len());
-            for (x, y) in fp.iter().zip(&tp) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-
-        // Batched fan-out: input order, identical for every thread budget.
-        for threads in [1usize, 2, 8] {
-            prop_assert_eq!(
-                flat.predict_leaf_ids(threads, &query_rows).unwrap(),
-                serial.clone()
-            );
-        }
-    }
-
-    #[test]
-    fn batch_major_routing_matches_per_sample_routing_bitwise(
-        // Row counts start at 1 so degenerate single-leaf trees are
-        // covered; the query mask injects NaN features (bit 0 poisons
-        // `a`, bit 1 poisons `b`) to exercise the route-right rule along
-        // the wave traversal exactly as per-sample routing applies it.
-        rows in prop::collection::vec(
-            (0.0f64..1.0, 0.0f64..1.0, 0u32..3),
-            1..150,
-        ),
-        queries in prop::collection::vec(
-            (0.0f64..1.0, 0.0f64..1.0, 0u8..4),
-            1..40,
-        ),
-        depth in 1usize..7,
-        k in 1usize..5,
-        seed in 0u64..u64::MAX,
-    ) {
-        use tauw_suite::dtree::{
-            Dataset, FlatForest, FlatTree, ForestBuilder, LeafId, TreeBuilder,
-        };
-        let mut ds = Dataset::new(vec!["a".into(), "b".into()], 3).unwrap();
-        for (a, b, label) in &rows {
-            ds.push_row(&[*a, *b], *label).unwrap();
-        }
-        let flat = FlatTree::from_tree(
-            &TreeBuilder::new().max_depth(depth).fit(&ds).unwrap(),
-        );
-        let mut builder = ForestBuilder::new(k, seed);
-        builder.tree(TreeBuilder::new().max_depth(depth).clone());
-        let flat_forest = FlatForest::from_forest(&builder.fit(&ds).unwrap());
-
         let query_rows: Vec<Vec<f64>> = queries
             .iter()
             .map(|(a, b, mask)| {
@@ -604,43 +550,15 @@ proptest! {
                 ]
             })
             .collect();
-
-        // Per-sample references: the pointer-free single-query routines.
-        let tree_serial: Vec<LeafId> = query_rows
-            .iter()
-            .map(|q| flat.predict_leaf_id(q).unwrap())
-            .collect();
-        let forest_serial: Vec<LeafId> = query_rows
-            .iter()
-            .flat_map(|q| flat_forest.predict_leaf_ids_per_tree(q).unwrap())
-            .collect();
-
-        // The level-synchronous wave kernels on the exact-size slices.
-        let mut wave = vec![0 as LeafId; query_rows.len()];
-        flat.route_batch_into(&query_rows, &mut wave).unwrap();
-        prop_assert_eq!(&wave, &tree_serial);
-        let mut forest_wave = vec![0 as LeafId; query_rows.len() * k];
-        flat_forest
-            .route_batch_into(&query_rows, &mut forest_wave)
-            .unwrap();
-        prop_assert_eq!(&forest_wave, &forest_serial);
-
-        // Ragged batches (empty / single row / full) through the threaded
-        // fan-out, identical for every thread budget, appending after a
-        // sentinel that must survive untouched.
-        for threads in [1usize, 2, 8] {
-            for split in [0usize, 1.min(query_rows.len()), query_rows.len()] {
-                let batch = &query_rows[..split];
-                let mut out = vec![LeafId::MAX];
-                flat.predict_leaf_ids_into(threads, batch, &mut out).unwrap();
-                prop_assert_eq!(&out[..1], &[LeafId::MAX][..]);
-                prop_assert_eq!(&out[1..], &tree_serial[..split]);
-                let mut out = vec![LeafId::MAX];
-                flat_forest
-                    .predict_leaf_ids_into(threads, batch, &mut out)
-                    .unwrap();
-                prop_assert_eq!(&out[..1], &[LeafId::MAX][..]);
-                prop_assert_eq!(&out[1..], &forest_serial[..split * k]);
+        for q in &query_rows {
+            let lid = flat.predict_leaf_id(q).unwrap();
+            prop_assert_eq!(flat.leaf(lid).node_id, tree.leaf_id(q).unwrap());
+            prop_assert_eq!(flat.predict(q).unwrap(), tree.predict(q).unwrap());
+            let fp = flat.predict_proba(q).unwrap();
+            let tp = tree.predict_proba(q).unwrap();
+            prop_assert_eq!(fp.len(), tp.len());
+            for (x, y) in fp.iter().zip(&tp) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
             }
         }
     }
@@ -762,16 +680,15 @@ proptest! {
     }
 
     #[test]
-    fn backend_seam_batch_per_sample_and_reference_agree_bitwise(
+    fn backend_seam_per_sample_and_reference_agree_bitwise(
         // The seam contract, checked generically for every registered
         // backend (tree, forest, conformal — bare and TaQim-wrapped): the
-        // batch-major `uncertainty_batch_into` wave, the per-sample
-        // `uncertainty` path, and the `uncertainty_reference` recompute
-        // are bitwise identical, and so are `route_support` (the delegate
-        // of the adaptive step's one-pass lookup) and its pointer-tree
-        // `route_support_reference`, under NaN/±inf-injected queries (mask
-        // 1/2/3 replaces the feature) and every thread budget. A wrong
-        // arity fails with one error on every path.
+        // per-sample `uncertainty` path and the `uncertainty_reference`
+        // recompute are bitwise identical, and so are `route_support` (the
+        // delegate of the adaptive step's one-pass lookup) and its
+        // pointer-tree `route_support_reference`, under NaN/±inf-injected
+        // queries (mask 1/2/3 replaces the feature). A wrong arity fails
+        // with one error on every path.
         rows in prop::collection::vec((0.0f64..1.0, prop::bool::ANY), 60..200),
         queries in prop::collection::vec((0.0f64..1.0, 0u8..4), 1..30),
         depth in 1usize..5,
@@ -780,26 +697,21 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         use tauw_suite::core::calibration::{
-            CalibratedForestQim, CalibratedQim, CalibrationOptions, QimBackend,
-            ServingScratch, TaQim,
+            CalibratedForestQim, CalibratedQim, CalibrationOptions, QimBackend, TaQim,
         };
         use tauw_suite::core::conformal::{ConformalOptions, ConformalQim};
         use tauw_suite::dtree::{Dataset, ForestBuilder, TreeBuilder};
 
         /// One backend through the whole contract: bounds in [0, 1],
-        /// serving == reference bitwise for the bound and the support,
-        /// batch == per-sample bitwise for threads 1/2/8 (appended after
-        /// a sentinel that must survive), one arity error on every path.
+        /// serving == reference bitwise for the bound and the support, one
+        /// arity error on every path.
         fn exercise<B: QimBackend>(
             backend: &B,
             query_rows: &[Vec<f64>],
         ) -> Result<(), TestCaseError> {
             backend.validate().unwrap();
-            let serial: Vec<f64> = query_rows
-                .iter()
-                .map(|q| backend.uncertainty(q).unwrap())
-                .collect();
-            for (q, &u) in query_rows.iter().zip(&serial) {
+            for q in query_rows {
+                let u = backend.uncertainty(q).unwrap();
                 prop_assert!((0.0..=1.0).contains(&u));
                 prop_assert_eq!(
                     u.to_bits(),
@@ -815,26 +727,6 @@ proptest! {
             prop_assert_eq!(&backend.uncertainty_reference(&wrong).unwrap_err(), &err);
             prop_assert_eq!(&backend.route_support(&wrong).unwrap_err(), &err);
             prop_assert_eq!(&backend.route_support_reference(&wrong).unwrap_err(), &err);
-            let mut out = vec![f64::NEG_INFINITY];
-            prop_assert_eq!(
-                &backend
-                    .uncertainty_batch_into(1, &[wrong.to_vec()], &mut ServingScratch::new(), &mut out)
-                    .unwrap_err(),
-                &err
-            );
-            prop_assert_eq!(out, vec![f64::NEG_INFINITY]);
-            let mut scratch = ServingScratch::new();
-            for threads in [1usize, 2, 8] {
-                let mut out = vec![f64::NEG_INFINITY];
-                backend
-                    .uncertainty_batch_into(threads, query_rows, &mut scratch, &mut out)
-                    .unwrap();
-                prop_assert_eq!(out[0], f64::NEG_INFINITY);
-                prop_assert_eq!(out.len(), 1 + query_rows.len());
-                for (&got, &want) in out[1..].iter().zip(&serial) {
-                    prop_assert_eq!(got.to_bits(), want.to_bits());
-                }
-            }
             Ok(())
         }
 
